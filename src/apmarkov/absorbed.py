@@ -27,7 +27,7 @@ import numpy as np
 
 from .measures import Mesh, MeshMeasure, tv_distance
 from .paths import SimulationError
-from .rng import make_generator
+from .rng import make_generator, rekey
 from .timefns import TimeFunction, const
 
 __all__ = [
@@ -54,7 +54,12 @@ __all__ = [
     "QEDComparison",
 ]
 
-_MAX_BATCH_ELEMS = int(2e7)
+# normals per engine batch (plus as many uniforms): sets peak memory
+_MAX_BATCH_ELEMS = int(1e7)
+# steps per step-major noise window; the working set is compacted between windows
+_WINDOW = 64
+# bridge crossings are evaluated within this many sqrt(dt) of the boundary
+_BRIDGE_REACH = 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -129,55 +134,112 @@ def default_boundary_pair() -> BoundaryPair:
 # absorption engine
 # ---------------------------------------------------------------------------
 
+def _bridge_step(x, xn, h0, h1, dt: float, u) -> np.ndarray:
+    """Bridge-triggered absorption over one step: u < p, where p is the
+    probability that the Brownian bridge from x to xn over a step of length
+    dt leaves (-h, h) for the boundary linearised from h0 to h1, the up and
+    down crossings combined as up + dn - up dn.  Arguments broadcast.
+
+    p is only evaluated within _BRIDGE_REACH sqrt(dt) of the boundary (at
+    either end of the step) and where u == 0.  Everywhere else both
+    crossing exponents are below -2 _BRIDGE_REACH^2 = -50, so p < 2^-53,
+    the smallest positive uniform, and the test is False: the result equals
+    evaluating p everywhere, bit for bit.
+    """
+    reach = _BRIDGE_REACH * math.sqrt(dt)
+    near = (np.abs(x) > h0 - reach) | (np.abs(xn) > h1 - reach) | (u == 0.0)
+    hit = np.zeros(near.shape, dtype=bool)
+    sel = np.nonzero(near)
+    if sel[0].size:
+        x, xn, h0, h1, u = (np.broadcast_to(v, near.shape)[sel] for v in (x, xn, h0, h1, u))
+        up = np.exp(-2.0 * np.maximum(h0 - x, 0.0) * np.maximum(h1 - xn, 0.0) / dt)
+        dn = np.exp(-2.0 * np.maximum(h0 + x, 0.0) * np.maximum(h1 + xn, 0.0) / dt)
+        hit[sel] = u < up + dn - up * dn
+    return hit
+
+
 def _engine(ts: np.ndarray, hb: np.ndarray, x0: float, ids: range, seed: int,
             bridge: bool = True, record_step: Optional[int] = None,
             keep_paths: bool = False) -> Dict[str, np.ndarray]:
-    """Simulate one batch of absorbed paths on node times ts with boundary
-    values hb at the nodes.  Path i draws from substream (seed, ids[i]).
+    """Simulate one batch of absorbed paths on node times ts against one
+    boundary (hb of shape (n_steps+1,)) or a stack of boundaries (shape
+    (n_boundaries, n_steps+1)), all from a single noise pass.  Path i draws
+    from substream (seed, ids[i]).
 
-    Returns tau (+inf where the path survives the whole window), optionally
-    the states at ``record_step`` and the whole paths.  Absorbed paths keep
-    diffusing so noise consumption never depends on the boundary (this is
-    what makes common-random-number boundary comparisons exact).
+    Returns tau (+inf where the path survives the whole window) and alive,
+    one row per stacked boundary; optionally the states at ``record_step``
+    and the whole paths.  The path state is shared by all boundaries and the
+    noise is drawn for every path before stepping, so noise consumption never
+    depends on the boundary (this is what makes common-random-number boundary
+    comparisons exact).
+
+    Without ``keep_paths`` only the paths alive under some boundary are
+    stepped: the working set is compacted between windows of steps, and
+    ``final`` and ``rec`` are NaN for the paths it has dropped.
     """
+    hb = np.asarray(hb, dtype=float)
+    stacked = hb.ndim == 2
+    if not stacked:
+        hb = hb[None, :]
     n = len(ids)
     n_steps = len(ts) - 1
     z = np.empty((n, n_steps))
-    u = np.empty((n, n_steps))
+    u = np.empty((n, n_steps)) if bridge else None
+    gen = make_generator(seed)  # re-keyed to substream (seed, r) for each path
     for i, r in enumerate(ids):
-        gen = make_generator(seed, r)
-        z[i] = gen.standard_normal(n_steps)
-        u[i] = gen.random(n_steps)
+        rekey(gen, seed, r)
+        gen.standard_normal(out=z[i])
+        if bridge:  # the uniforms follow the normals on the stream
+            gen.random(out=u[i])
+    rows = np.arange(n)  # working set: paths alive under some boundary
     x = np.full(n, float(x0))
-    alive = np.ones(n, dtype=bool)
-    tau = np.full(n, np.inf)
-    rec = np.full(n, float(x0)) if record_step == 0 else None
+    alive = np.ones((len(hb), n), dtype=bool)
+    tau = np.full((len(hb), n), np.inf)
+    rec = None
+    if record_step is not None:
+        rec = np.full(n, float(x0) if record_step == 0 else np.nan)
     paths = None
     if keep_paths:
         paths = np.empty((n, n_steps + 1))
         paths[:, 0] = x
-    for k in range(n_steps):
-        dt_k = ts[k + 1] - ts[k]
-        xn = x + math.sqrt(dt_k) * z[:, k]
-        direct = np.abs(xn) >= hb[k + 1]
-        if bridge:
-            up = np.exp(-2.0 * np.maximum(hb[k] - x, 0.0)
-                        * np.maximum(hb[k + 1] - xn, 0.0) / dt_k)
-            dn = np.exp(-2.0 * np.maximum(hb[k] + x, 0.0)
-                        * np.maximum(hb[k + 1] + xn, 0.0) / dt_k)
-            p_cross = up + dn - up * dn
-            hit_bridge = (~direct) & (u[:, k] < p_cross)
-        else:
-            hit_bridge = np.zeros(n, dtype=bool)
-        tau = np.where(alive & direct, ts[k + 1], tau)
-        tau = np.where(alive & hit_bridge, ts[k] + 0.5 * dt_k, tau)
-        alive &= ~(direct | hit_bridge)
-        x = xn
-        if record_step == k + 1:
-            rec = xn.copy()
+    for k0 in range(0, n_steps, _WINDOW):
+        k1 = min(k0 + _WINDOW, n_steps)
+        if not keep_paths:
+            live = alive.any(axis=0)
+            if not live.all():
+                rows, x, alive = rows[live], x[live], alive[:, live]
+                if rows.size == 0:
+                    break
+        # step-major copies of the window's noise, working-set rows only
+        zw = z[rows, k0:k1].T.copy()
+        uw = u[rows, k0:k1].T.copy() if bridge else None
+        xw = np.empty((k1 - k0, n)) if keep_paths else None
+        for j, k in enumerate(range(k0, k1)):
+            dt_k = ts[k + 1] - ts[k]
+            xn = x + math.sqrt(dt_k) * zw[j]
+            h1 = hb[:, k + 1, None]
+            direct = np.abs(xn) >= h1
+            if bridge:
+                hit = direct | _bridge_step(x, xn, hb[:, k, None], h1, dt_k, uw[j])
+            else:
+                hit = direct
+            hit = hit & alive
+            if hit.any():
+                b, i = np.nonzero(hit)
+                tau[b, rows[i]] = np.where(direct[b, i], ts[k + 1], ts[k] + 0.5 * dt_k)
+                alive &= ~hit
+            x = xn
+            if record_step == k + 1:
+                rec[rows] = xn
+            if keep_paths:
+                xw[j] = xn
         if keep_paths:
-            paths[:, k + 1] = xn
-    out = {"tau": tau, "alive": alive, "final": x}
+            paths[:, k0 + 1:k1 + 1] = xw.T
+    final = np.full(n, np.nan)
+    final[rows] = x
+    if not stacked:
+        tau = tau[0]
+    out = {"tau": tau, "alive": tau == np.inf, "final": final}
     if rec is not None:
         out["rec"] = rec
     if paths is not None:
@@ -231,13 +293,19 @@ class SurvivalEstimate:
 def survival_flags(h, x0: float, ts: np.ndarray, seed: int, n_paths: int,
                    bridge: bool = True) -> np.ndarray:
     """Per-path survival indicators on the node times ts (CRN-safe: flags for
-    different boundaries with the same seed share the driving noise)."""
-    hb = _boundary_nodes(h, ts)
-    if abs(x0) >= hb[0]:
-        raise ValueError(f"x0={x0} outside the open interval (-{hb[0]}, {hb[0]})")
-    flags = np.empty(n_paths, dtype=bool)
+    different boundaries with the same seed share the driving noise).
+
+    ``h`` is one boundary, giving one flag per path, or a sequence of
+    boundaries, giving one flag row per boundary from a single noise pass.
+    """
+    stacked = isinstance(h, (list, tuple))
+    hb = np.stack([_boundary_nodes(b, ts) for b in h]) if stacked else _boundary_nodes(h, ts)
+    h_start = float(np.min(hb[..., 0]))
+    if abs(x0) >= h_start:
+        raise ValueError(f"x0={x0} outside the open interval (-{h_start}, {h_start})")
+    flags = np.empty(hb.shape[:-1] + (n_paths,), dtype=bool)
     for ids in _batches(n_paths, len(ts) - 1):
-        flags[ids.start:ids.stop] = _engine(ts, hb, x0, ids, seed, bridge=bridge)["alive"]
+        flags[..., ids.start:ids.stop] = _engine(ts, hb, x0, ids, seed, bridge=bridge)["alive"]
     return flags
 
 
@@ -417,6 +485,7 @@ def fleming_viot(h, n_particles: int, dt: float, T: float, seed: int,
         mesh = Mesh(x_min=-h_max, x_max=h_max, n_cells=80)
 
     diff_gen = make_generator(seed, 0)
+    donor_gen = make_generator(seed, 2)  # re-keyed to substream (seed, 2, k) at step k
     if isinstance(x0, str):
         if x0 != "uniform":
             raise ValueError(f"unknown initial spec {x0!r}")
@@ -439,11 +508,7 @@ def fleming_viot(h, n_particles: int, dt: float, T: float, seed: int,
         xn = pos + math.sqrt(dt_k) * z
         direct = np.abs(xn) >= hb[k + 1]
         if bridge:
-            p_up = np.exp(-2.0 * np.maximum(hb[k] - pos, 0.0)
-                          * np.maximum(hb[k + 1] - xn, 0.0) / dt_k)
-            p_dn = np.exp(-2.0 * np.maximum(hb[k] + pos, 0.0)
-                          * np.maximum(hb[k + 1] + xn, 0.0) / dt_k)
-            absorbed = direct | (u < p_up + p_dn - p_up * p_dn)
+            absorbed = direct | _bridge_step(pos, xn, hb[k], hb[k + 1], dt_k, u)
         else:
             absorbed = direct
         if np.all(absorbed):
@@ -452,7 +517,7 @@ def fleming_viot(h, n_particles: int, dt: float, T: float, seed: int,
                 "decrease dt or increase the particle count")
         if np.any(absorbed):
             survivors = rows[~absorbed]
-            donor_gen = make_generator(seed, 2, k)
+            rekey(donor_gen, seed, 2, k)
             for i in rows[absorbed]:
                 donor = int(survivors[donor_gen.integers(len(survivors))])
                 xn[i] = xn[donor]
@@ -619,8 +684,8 @@ def boundary_convergence_report(pair: BoundaryPair, s: float, t: float, x: float
             rows.append(SurvivalGapRow(k=int(k), gap=0.0, stderr=0.0, sandwich_prob=0.0))
             continue
         ts = _uniform_window(start, t - s, dt)
-        flags_h = survival_flags(pair.h, x, ts, seed, n_paths, bridge=bridge)
-        flags_g = survival_flags(pair.g, x, ts, seed, n_paths, bridge=bridge)
+        flags_h, flags_g = survival_flags([pair.h, pair.g], x, ts, seed, n_paths,
+                                          bridge=bridge)
         diff = flags_g.astype(float) - flags_h.astype(float)
         gap = abs(float(flags_h.mean() - flags_g.mean()))
         sandwich = float((flags_g & ~flags_h).mean())

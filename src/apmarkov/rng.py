@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["substream_key", "make_generator"]
+__all__ = ["substream_key", "make_generator", "rekey"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_ZEROS = np.zeros(4, dtype=np.uint64)
 
 
 def _splitmix64(z: int) -> int:
@@ -46,3 +47,17 @@ def substream_key(seed: int, *indexes: int) -> int:
 def make_generator(seed: int, *indexes: int) -> np.random.Generator:
     """Generator for the (seed, indexes) substream."""
     return np.random.Generator(np.random.Philox(key=substream_key(seed, *indexes)))
+
+
+def rekey(gen: np.random.Generator, seed: int, *indexes: int) -> None:
+    """Reset a Philox-backed ``gen`` to the start of the (seed, indexes)
+    substream: counter 0, key (substream_key, 0), empty buffer.  Its draws
+    then equal those of ``make_generator(seed, *indexes)`` bit for bit,
+    without building a new bit generator (which reads OS entropy for a seed
+    it then discards)."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS,
+                  "key": np.array([substream_key(seed, *indexes), 0], dtype=np.uint64)},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from apmarkov import absorbed
 from apmarkov.absorbed import (BoundaryPair, boundary_convergence_report,
                                conditional_minorization_estimate,
                                conditioned_endpoint_law, default_boundary_pair,
@@ -12,6 +14,7 @@ from apmarkov.absorbed import (BoundaryPair, boundary_convergence_report,
                                survival_probability, _uniform_window)
 from apmarkov.measures import Mesh, MeshMeasure, tv_distance
 from apmarkov.paths import SimulationError
+from apmarkov.rng import make_generator, rekey
 from apmarkov.timefns import const, parse_time_function
 
 from oracles import (conditioned_cell_masses, dirichlet_survival_images,
@@ -108,6 +111,77 @@ def test_pathwise_survival_monotone_in_boundary():
     fg = survival_flags(pair.g, 0.0, ts, seed=4, n_paths=3000)
     assert np.all(~fh | fg)
     assert fg.sum() > fh.sum()
+
+
+# -- stacked, survivor-compacted engine ---------------------------------------------
+
+@pytest.mark.parametrize("bridge", [True, False])
+@pytest.mark.parametrize("k", [0, 5])
+def test_stacked_boundaries_equal_separate_passes(bridge, k):
+    pair = default_boundary_pair()
+    ts = _uniform_window(k * pair.gamma, 1.0, 2e-3)
+    stacked = survival_flags([pair.h, pair.g], 0.1, ts, seed=6, n_paths=1500,
+                             bridge=bridge)
+    for row, h in zip(stacked, (pair.h, pair.g)):
+        assert np.array_equal(row, survival_flags(h, 0.1, ts, seed=6, n_paths=1500,
+                                                  bridge=bridge))
+    hb = np.stack([absorbed._boundary_nodes(h, ts) for h in (pair.h, pair.g)])
+    tau = absorbed._engine(ts, hb, 0.1, range(40, 440), 6, bridge=bridge)["tau"]
+    for b in range(2):
+        single = absorbed._engine(ts, hb[b], 0.1, range(40, 440), 6, bridge=bridge)
+        assert np.array_equal(tau[b], single["tau"])
+
+
+def test_flags_do_not_depend_on_batch_size(monkeypatch):
+    pair = default_boundary_pair()
+    ts = _uniform_window(0.0, 1.0, 2e-3)
+    whole = survival_flags([pair.h, pair.g], 0.0, ts, seed=2, n_paths=1200)
+    monkeypatch.setattr(absorbed, "_MAX_BATCH_ELEMS", 400 * (len(ts) - 1))
+    assert len(absorbed._batches(1200, len(ts) - 1)) == 3
+    split = survival_flags([pair.h, pair.g], 0.0, ts, seed=2, n_paths=1200)
+    assert np.array_equal(whole, split)
+
+
+@settings(max_examples=25, deadline=None)
+@given(c_h=st.floats(0.2, 1.5), widen=st.floats(0.0, 1.0), x0=st.floats(-0.9, 0.9),
+       seed=st.integers(0, 2 ** 32))
+def test_stacked_flags_are_ordered_for_nested_constant_boundaries(c_h, widen, x0, seed):
+    c_g = c_h + widen
+    ts = _uniform_window(0.0, 0.5, 5e-3)
+    f_h, f_g = survival_flags([c_h, c_g], x0 * c_h, ts, seed=seed, n_paths=300)
+    assert np.all(~f_h | f_g)
+
+
+def test_near_boundary_bridge_test_equals_full_evaluation():
+    # the crossing probability is skipped far from the boundary; near the
+    # cutoff, p is compared with the smallest uniforms, including u == 0
+    gen = np.random.default_rng(5)
+    dt, h0, h1 = 1e-3, 1.0, 0.98
+    sd = math.sqrt(dt)
+    x = np.sign(gen.uniform(-1, 1, 200_000)) * (h0 - sd * gen.uniform(0.0, 8.0, 200_000))
+    xn = x + sd * gen.standard_normal(x.size)
+    u = gen.integers(0, 4, x.size) * 2.0 ** -53
+    u[::3] = gen.random(u[::3].size)
+    up = np.exp(-2.0 * np.maximum(h0 - x, 0.0) * np.maximum(h1 - xn, 0.0) / dt)
+    dn = np.exp(-2.0 * np.maximum(h0 + x, 0.0) * np.maximum(h1 + xn, 0.0) / dt)
+    full = u < up + dn - up * dn
+    assert np.array_equal(absorbed._bridge_step(x, xn, h0, h1, dt, u), full)
+    assert full[u == 0.0].any() and not full.all()
+
+
+def test_rekeyed_generator_draws_like_a_fresh_one():
+    gen = np.random.default_rng(0)
+    reused = make_generator(0)
+    for _ in range(300):
+        seed = int(gen.integers(0, 2 ** 63))
+        idx = tuple(int(i) for i in gen.integers(0, 2 ** 40, gen.integers(1, 4)))
+        fresh = make_generator(seed, *idx)
+        rekey(reused, seed, *idx)
+        assert np.array_equal(reused.random(3, dtype=np.float32),
+                              fresh.random(3, dtype=np.float32))
+        assert np.array_equal(reused.standard_normal(37), fresh.standard_normal(37))
+        assert np.array_equal(reused.random(11), fresh.random(11))
+        reused.random(3, dtype=np.float32)  # leave a buffered half-word behind
 
 
 # -- Girsanov -----------------------------------------------------------------

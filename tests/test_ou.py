@@ -173,6 +173,19 @@ def test_gaussian_tv_matches_cdf_oracle():
             gaussian_tv_exact(m1, s1, m2, s2), abs=1e-9)
 
 
+@pytest.mark.parametrize("n, k, x", [(1, 15, 0.280633), (3, 14, 0.594535),
+                                     (2, 15, 1.456136)])
+def test_gaussian_tv_small_distance_matches_cdf_oracle(n, k, x):
+    # periodicity-report cases with TV near 1e-6, where adaptive quadrature
+    # of the density difference missed the closed form by 1e-9 to 5e-9
+    spec = default_ou_spec()
+    (row,) = asymptotic_periodicity_report(spec, s=0.0, n=n, k_values=[k], x=x)
+    p = transition_params(spec.lam, k, k + n)
+    q = transition_params(spec.g, 0.0, n)
+    assert row.tv == pytest.approx(
+        gaussian_tv_exact(p.m * x, p.sigma, q.m * x, q.sigma), abs=1e-9)
+
+
 # -- asymptotic periodicity report -------------------------------------------
 
 def test_report_vanishes_when_already_periodic():
