@@ -19,11 +19,11 @@ from .ergodic import (ASReport, ErgodicReport, default_checkpoints, normal_initi
 from .invariant import (SkeletonMap, invariant_gaussian, limiting_value,
                         power_iteration_invariant, skeleton_kernel_matrix)
 from .measures import Mesh, MeshMeasure, psi_distance, tv_distance
-from .ou import (GaussianTransition, OUSpec, OUStepper, asymptotic_periodicity_report,
-                 default_ou_spec, gaussian_tv, ou_stepper, transition_params)
-from .paths import Observable, PathEnsemble, simulate_ensemble, time_average
+from .ou import (GaussianTransition, OUSpec, asymptotic_periodicity_report,
+                 default_ou_spec, gaussian_tv, transition_params)
+from .paths import Observable
 from .rng import make_generator, substream_key
 from .timefns import (TimeFunction, TimeGrid, cumulative_integral, derivative,
-                      integrate, parse_time_function)
+                      parse_time_function)
 
 __version__ = "0.1.0"

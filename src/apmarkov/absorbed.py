@@ -454,13 +454,11 @@ class FVResult:
     system: ParticleSystem
     occupation: OccupationMeasure
     ancestral_mass: np.ndarray  # per-particle binned occupation, (N, n_cells)
-    snapshots: List[Tuple[float, np.ndarray]]
 
 
 def fleming_viot(h, n_particles: int, dt: float, T: float, seed: int,
                  mesh: Optional[Mesh] = None, x0: float | str = 0.0,
                  bridge: bool = True, burn_in: float = 0.0,
-                 snapshot_every: Optional[int] = None,
                  t_start: float = 0.0) -> FVResult:
     """Fleming-Viot approximation of the conditioned ensemble.
 
@@ -498,7 +496,6 @@ def fleming_viot(h, n_particles: int, dt: float, T: float, seed: int,
     hist = np.zeros((n_particles, mesh.n_cells))
     occupied_time = 0.0
     log: List[Tuple[float, int, int]] = []
-    snapshots: List[Tuple[float, np.ndarray]] = []
     rows = np.arange(n_particles)
 
     for k in range(n_steps):
@@ -527,14 +524,11 @@ def fleming_viot(h, n_particles: int, dt: float, T: float, seed: int,
         if ts[k + 1] - t_start > burn_in + 1e-12:
             hist[rows, mesh.cell_index(pos)] += dt_k
             occupied_time += dt_k
-        if snapshot_every and (k + 1) % snapshot_every == 0:
-            snapshots.append((float(ts[k + 1]), pos.copy()))
 
     system = ParticleSystem(n_particles=n_particles, positions=pos,
                             time=float(ts[-1]), seed=seed, resample_log=log)
     occ = OccupationMeasure(mesh=mesh, mass=hist.mean(axis=0), total_time=occupied_time)
-    return FVResult(system=system, occupation=occ, ancestral_mass=hist,
-                    snapshots=snapshots)
+    return FVResult(system=system, occupation=occ, ancestral_mass=hist)
 
 
 # ---------------------------------------------------------------------------

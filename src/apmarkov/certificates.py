@@ -19,7 +19,7 @@ from scipy.special import ndtr
 from .invariant import gaussian_kernel_matrix
 from .measures import Mesh, MeshMeasure, psi_distance
 from .ou import GaussianTransition, transition_params
-from .timefns import TimeFunction, integrate
+from .timefns import TimeFunction
 
 __all__ = [
     "GaussianKernel",
@@ -32,7 +32,6 @@ __all__ = [
     "check_growth",
     "gaussian_class_minorization",
     "doeblin_from_minorization",
-    "psi_distance",
     "contraction_rate_fit",
     "default_certificate_mesh",
 ]
@@ -255,13 +254,13 @@ def gaussian_class_minorization(a: float, b_minus: float, b_plus: float,
     """
     if not (0.0 < b_minus <= b_plus):
         raise ValueError(f"need 0 < b_minus <= b_plus, got {b_minus}, {b_plus}")
-    if a < 0.0:
+    if not a >= 0.0:  # also rejects NaN
         raise ValueError(f"need a >= 0, got {a}")
     mesh = mesh or default_certificate_mesh()
     x = mesh.centers()
-    half_width = max(8.0 * b_minus + a, mesh.x_max)
-    mass = integrate(lambda u: float(_minorizing_shape(a, b_minus, np.asarray(u))),
-                     -half_width, half_width, tol=1e-12)
+    # int f = 2 int_0^inf exp(-(x + a)^2 / (2 b^2)) dx; the upper tail ndtr(-a/b)
+    # has no 1 - Phi cancellation
+    mass = 2.0 * math.sqrt(2.0 * math.pi) * b_minus * float(ndtr(-a / b_minus))
     c = mass / (math.sqrt(2.0 * math.pi) * b_plus)
     nu = MeshMeasure.from_unnormalized(mesh, _minorizing_cell_masses(a, b_minus, mesh))
     nu_density = _minorizing_shape(a, b_minus, x) / mass
@@ -316,7 +315,8 @@ def doeblin_from_minorization(cert: MinorizationCertificate,
             margin = float((mass - floor).min())
             if margin < worst:
                 worst, w_probe, w_s = margin, x, s
-    # tolerance absorbs the quadrature error carried into c by the certificate
+    # tolerance absorbs rounding where c * nu touches the kernel law (a class
+    # of one member) and nu's renormalization to the mesh
     return DoeblinReport(worst_margin=worst, worst_probe=w_probe, worst_s=w_s,
                          valid=bool(worst >= -1e-9), degenerate=cert.degenerate)
 

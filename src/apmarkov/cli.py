@@ -28,7 +28,6 @@ from .ergodic import normal_initial, point_initial, run_l2_experiment
 from .measures import Mesh
 from .ou import asymptotic_periodicity_report
 from .paths import SimulationError
-from .timefns import QuadratureError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -204,7 +203,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureError, SimulationError, FloatingPointError) as exc:
+    except (SimulationError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     for name in artifacts:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -135,7 +135,7 @@ def _check_params(kind: str, params: dict) -> dict:
         if not isinstance(params["s"], (int, float)) or params["s"] < 0:
             raise ConfigError(f"{where}.s must be >= 0, got {params['s']!r}")
     elif kind == "minorization":
-        if not isinstance(params["a"], (int, float)) or params["a"] < 0:
+        if not isinstance(params["a"], (int, float)) or not params["a"] >= 0:
             raise ConfigError(f"{where}.a must be >= 0, got {params['a']!r}")
         _positive(params, where, "b_minus")
         _positive(params, where, "b_plus")
@@ -176,21 +176,19 @@ class ExperimentConfig:
     params: dict
     out: Optional[str] = None
     threads: int = 1
+    # the OUSpec or BoundaryPair parse_config built and validated from model_raw
+    parsed_model: Any = field(default=None, compare=False, repr=False)
 
     def model(self):
-        return _parse_model(self.model_raw) if self.model_raw else None
+        return self.parsed_model
 
     def with_overrides(self, seed: Optional[int] = None,
                        threads: Optional[int] = None,
                        params: Optional[dict] = None) -> "ExperimentConfig":
-        return ExperimentConfig(
-            experiment=self.experiment,
-            seed=self.seed if seed is None else seed,
-            model_raw=self.model_raw,
-            params={**self.params, **(params or {})},
-            out=self.out,
-            threads=self.threads if threads is None else threads,
-        )
+        return replace(self,
+                       seed=self.seed if seed is None else seed,
+                       threads=self.threads if threads is None else threads,
+                       params={**self.params, **(params or {})})
 
 
 def parse_config(doc: Any) -> ExperimentConfig:
@@ -219,7 +217,7 @@ def parse_config(doc: Any) -> ExperimentConfig:
     params = _check_params(kind, doc["params"])
     return ExperimentConfig(experiment=kind, seed=doc["seed"],
                             model_raw=model_raw or {}, params=params,
-                            out=doc.get("out"), threads=threads)
+                            out=doc.get("out"), threads=threads, parsed_model=model)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _WINDOW = 256  # steps unrolled per prefix-product window
+_MAX_BATCH_ELEMS = int(2e7)  # replica-steps per batch; batches go to the thread pool
 
 
 InitialSampler = Callable[[np.random.Generator], float]
@@ -131,7 +132,7 @@ def ergodic_time_averages(drift, f: Observable, initial: InitialSampler,
     grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)
     check_steps = _checkpoint_steps(t_values, dt, n_steps)
     out = np.empty((n_replicas, len(t_values)))
-    batch = max(1, min(n_replicas, int(2e7) // max(1, n_steps)))
+    batch = max(1, min(n_replicas, _MAX_BATCH_ELEMS // max(1, n_steps)))
     batches = [range(lo, min(lo + batch, n_replicas)) for lo in range(0, n_replicas, batch)]
     if threads > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -27,7 +27,6 @@ from .timefns import TimeFunction, TimeGrid, TimeFunctionError, cumulative_integ
 __all__ = [
     "GaussianTransition",
     "OUSpec",
-    "OUStepper",
     "transition_params",
     "grid_transition_params",
     "drift_profile",
@@ -37,7 +36,7 @@ __all__ = [
 ]
 
 # sub-Simpson resolution: panels per unit time for single transitions, and
-# panels per grid step for steppers (dt is small there)
+# panels per step for uniform grids (dt is small there)
 _PANELS_PER_UNIT = 384
 _PANELS_PER_STEP = 4
 
@@ -190,35 +189,6 @@ def default_ou_spec() -> OUSpec:
     lam = parse_time_function("(1 + 0.5*sin(2*pi*t)) * (1 + 0.3*exp(-0.7*t))",
                               lower=0.5, upper=1.95)
     return OUSpec(lam=lam, g=g, gamma=1.0)
-
-
-class OUStepper:
-    """One-step kernel sampler X' = m x + sigma Z, exact in law.
-
-    Transition parameters are cached per (t0, t1), so replica sweeps over a
-    shared grid compute each step's quadrature once.
-    """
-
-    def __init__(self, drift: TimeFunction):
-        self.drift = drift
-        self._cache: dict = {}
-
-    def params(self, t0: float, t1: float) -> GaussianTransition:
-        key = (t0, t1)
-        tr = self._cache.get(key)
-        if tr is None:
-            tr = transition_params(self.drift, t0, t1)
-            self._cache[key] = tr
-        return tr
-
-    def __call__(self, t0: float, t1: float, x, gen: np.random.Generator):
-        tr = self.params(t0, t1)
-        x = np.asarray(x, dtype=float)
-        return tr.m * x + tr.sigma * gen.standard_normal(x.shape if x.ndim else None)
-
-
-def ou_stepper(spec: OUSpec, use_auxiliary: bool = False) -> OUStepper:
-    return OUStepper(spec.drift(use_auxiliary))
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,23 @@
-"""Path simulation engine: seeded replica ensembles and path time averages.
+"""Path observables and the numeric failure raised by the simulation engines.
 
-Replica r of an ensemble draws all of its randomness from the substream
-(seed, r) (see :mod:`apmarkov.rng`), so ensembles reproduce bitwise from
-(seed, model, grid) and are independent of replica evaluation order.
+An :class:`Observable` is the pointwise map f whose path time averages the
+ergodic experiments estimate; :class:`SimulationError` is what an engine
+raises when a run cannot continue (the CLI maps it to exit code 3).
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .rng import make_generator
-from .timefns import TimeGrid
-
-__all__ = ["Observable", "PathEnsemble", "SimulationError",
-           "simulate_ensemble", "time_average", "export_ensemble_csv"]
+__all__ = ["Observable", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
-    """Stepper or sampler failure, with replica/step context."""
+    """A run that cannot continue: all particles absorbed, no survivors, or
+    an observable outside its declared bound."""
 
 
 @dataclass(frozen=True)
@@ -39,90 +34,3 @@ class Observable:
             raise SimulationError(
                 f"observable {self.name!r} exceeded declared bound {self.bound}")
         return vals
-
-
-@dataclass(frozen=True)
-class PathEnsemble:
-    """States of n_replicas paths sampled on a common grid."""
-
-    grid: TimeGrid
-    states: np.ndarray  # (n_replicas, n_steps + 1)
-    seed: int
-
-    @property
-    def n_replicas(self) -> int:
-        return self.states.shape[0]
-
-
-# A stepper samples X_{t1} given X_{t0} = x; ``x`` may be a scalar or an
-# array of independent replicas sharing the generator.
-Stepper = Callable[[float, float, np.ndarray, np.random.Generator], np.ndarray]
-InitialSampler = Callable[[np.random.Generator], float]
-
-
-def simulate_ensemble(stepper: Stepper, initial: InitialSampler, grid: TimeGrid,
-                      n_replicas: int, seed: int) -> PathEnsemble:
-    """Simulate n_replicas independent paths of the one-step kernel.
-
-    Replica r consumes, in order, from the (seed, r) substream: the initial
-    draw, then one stepper call per grid step.
-    """
-    if n_replicas < 1:
-        raise SimulationError(f"n_replicas must be >= 1, got {n_replicas}")
-    ts = grid.times()
-    states = np.empty((n_replicas, grid.n_steps + 1))
-    for r in range(n_replicas):
-        gen = make_generator(seed, r)
-        try:
-            x = float(initial(gen))
-        except Exception as exc:
-            raise SimulationError(f"initial sampler failed for replica {r}: {exc}") from exc
-        states[r, 0] = x
-        for k in range(grid.n_steps):
-            try:
-                x = float(stepper(ts[k], ts[k + 1], x, gen))
-            except Exception as exc:
-                raise SimulationError(
-                    f"stepper failed at replica {r}, step {k} "
-                    f"(t={ts[k]!r} -> {ts[k + 1]!r}): {exc}") from exc
-            states[r, k + 1] = x
-    return PathEnsemble(grid=grid, states=states, seed=seed)
-
-
-def time_average(path: np.ndarray, grid: TimeGrid, f: Observable, t: float) -> float:
-    """(1/t) * int_{t0}^{t0+t} f(X_s) ds along one stored path (trapezoid)."""
-    if t <= 0:
-        raise ValueError(f"time_average needs t > 0, got {t}")
-    span = grid.n_steps * grid.dt
-    if t > span + 1e-9 * grid.dt:
-        raise ValueError(f"t={t} beyond grid span {span}")
-    n_full = int(np.floor(t / grid.dt + 1e-9))
-    n_full = min(n_full, grid.n_steps)
-    vals = np.asarray(f(path[:n_full + 1]), dtype=float)
-    total = np.trapezoid(vals, dx=grid.dt)
-    rem = t - n_full * grid.dt
-    if rem > 1e-9 * grid.dt:
-        # linear interpolation of the state over the partial step
-        frac = rem / grid.dt
-        x_t = path[n_full] + frac * (path[n_full + 1] - path[n_full])
-        total += 0.5 * rem * (float(f(path[n_full])) + float(f(x_t)))
-    return total / t
-
-
-def export_ensemble_csv(ens: PathEnsemble, csv_path, sidecar_path, model_desc: dict) -> None:
-    """Write `replica,step,time,state` rows plus a JSON-lines metadata sidecar."""
-    ts = ens.grid.times()
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["replica", "step", "time", "state"])
-        for r in range(ens.n_replicas):
-            for k in range(ens.grid.n_steps + 1):
-                w.writerow([r, k, repr(float(ts[k])), repr(float(ens.states[r, k]))])
-    meta = {
-        "seed": ens.seed,
-        "model": model_desc,
-        "grid": {"t0": ens.grid.t0, "dt": ens.grid.dt, "n_steps": ens.grid.n_steps},
-        "n_replicas": ens.n_replicas,
-    }
-    with open(sidecar_path, "w") as fh:
-        fh.write(json.dumps(meta, sort_keys=True) + "\n")

@@ -1,11 +1,11 @@
-"""Time-function algebra: expression trees over t with analytic derivatives,
-adaptive quadrature and cumulative integrals.
+"""Time-function algebra: expression trees over t with analytic derivatives
+and cumulative integrals on uniform grids.
 
 Every model ingredient that varies in time (drift rates, boundary radii,
 periodic envelopes) is a :class:`TimeFunction`: a small expression tree over
 ``{constant, t, sin, cos, exp, +, -, *, /, ^}`` that can be evaluated on
 scalars or numpy arrays, differentiated symbolically (first and second
-order), and integrated.
+order), and integrated on a grid by :func:`cumulative_integral`.
 
 Textual grammar (EBNF), used by :func:`parse_time_function`::
 
@@ -32,11 +32,9 @@ __all__ = [
     "TimeFunction",
     "TimeGrid",
     "TimeFunctionError",
-    "QuadratureError",
     "const",
     "var_t",
     "parse_time_function",
-    "integrate",
     "cumulative_integral",
     "derivative",
 ]
@@ -44,10 +42,6 @@ __all__ = [
 
 class TimeFunctionError(ValueError):
     """Malformed expression, unsupported derivative, or bad parameters."""
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +178,9 @@ class _Div(_Node):
     right: _Node
 
     def ev(self, t):
-        return np.divide(self.left.ev(t), self.right.ev(t))
+        # 1/t at t = 0 is inf, not a warning; declared bounds reject it at load
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.divide(self.left.ev(t), self.right.ev(t))
 
     def diff(self):
         num = _sub(_mul(self.left.diff(), self.right), _mul(self.left, self.right.diff()))
@@ -499,49 +495,6 @@ class TimeGrid:
 
 
 Evaluable = Union[TimeFunction, Callable[[np.ndarray], np.ndarray]]
-
-_MAX_DEPTH = 48
-
-
-def integrate(f: Evaluable, a: float, b: float, tol: float = 1e-10) -> float:
-    """Adaptive Simpson quadrature of ``f`` over [a, b].
-
-    Bisects intervals until the local Simpson error estimate (Richardson,
-    |S2 - S1|/15) meets the subdivided tolerance.  Raises QuadratureError
-    naming the offending subinterval if the recursion depth is exhausted.
-    """
-    if a > b:
-        raise TimeFunctionError(f"integrate needs a <= b, got a={a}, b={b}")
-    if a == b:
-        return 0.0
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
-
-    def rec(x0, x2, f0, f1, f2, whole, eps, depth):
-        xm_l = 0.5 * (x0 + 0.5 * (x0 + x2))
-        xm_r = 0.5 * (0.5 * (x0 + x2) + x2)
-        fl, fr = float(f(xm_l)), float(f(xm_r))
-        x1 = 0.5 * (x0 + x2)
-        left = simpson(x0, x1, f0, fl, f1)
-        right = simpson(x1, x2, f1, fr, f2)
-        err = left + right - whole
-        if abs(err) <= 15.0 * eps:
-            return left + right + err / 15.0
-        if depth >= _MAX_DEPTH:
-            raise QuadratureError(
-                f"quadrature did not converge on [{x0!r}, {x2!r}] "
-                f"(residual {abs(err) / 15.0:.3e} > tol {eps:.3e})")
-        half = 0.5 * eps
-        return (rec(x0, x1, f0, fl, f1, left, half, depth + 1)
-                + rec(x1, x2, f1, fr, f2, right, half, depth + 1))
-
-    fa, fm, fb = float(f(a)), float(f(0.5 * (a + b))), float(f(b))
-    for v in (fa, fm, fb):
-        if not math.isfinite(v):
-            raise TimeFunctionError(f"integrand not finite on [{a}, {b}]")
-    whole = simpson(a, b, fa, fm, fb)
-    return rec(a, b, fa, fm, fb, whole, tol, 0)
 
 
 def cumulative_integral(f: Evaluable, a: float, grid: TimeGrid) -> np.ndarray:

@@ -136,13 +136,14 @@ def test_single_member_class_is_exactly_recovered():
 
 
 def test_shifted_class_frozen_mass():
-    cert = gaussian_class_minorization(a=3.0, b_minus=1.0, b_plus=2.0,
-                                       n_members=1000, seed=11)
-    # int of min(two shifted gaussians) = 2 sqrt(2 pi) b_minus Phi(-a/b_minus)
-    expected_c = 2.0 * norm.cdf(-3.0) * (1.0 / 2.0)
-    assert cert.c == pytest.approx(expected_c, rel=1e-8)
-    assert cert.n_violations == 0
-    assert cert.worst_margin >= -1e-12
+    for a, b_minus, b_plus in [(3.0, 1.0, 2.0), (0.5, 0.7, 1.5)]:
+        cert = gaussian_class_minorization(a=a, b_minus=b_minus, b_plus=b_plus,
+                                           n_members=1000, seed=11)
+        # int of min(two shifted gaussians) = 2 sqrt(2 pi) b_minus Phi(-a/b_minus)
+        expected_c = 2.0 * b_minus * norm.cdf(-a / b_minus) / b_plus
+        assert cert.c == pytest.approx(expected_c, rel=1e-13, abs=0.0)
+        assert cert.n_violations == 0
+        assert cert.worst_margin >= -1e-12
 
 
 def test_minorization_monotonicity_in_parameters():
@@ -158,6 +159,8 @@ def test_minorization_rejects_bad_parameters():
         gaussian_class_minorization(a=1.0, b_minus=2.0, b_plus=1.0)
     with pytest.raises(ValueError):
         gaussian_class_minorization(a=-1.0, b_minus=1.0, b_plus=2.0)
+    with pytest.raises(ValueError):
+        gaussian_class_minorization(a=math.nan, b_minus=1.0, b_plus=2.0)
 
 
 # -- Doeblin from minorization ----------------------------------------------------

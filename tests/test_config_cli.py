@@ -1,10 +1,14 @@
 import json
+import math
+import warnings
 
 import pytest
 
+from apmarkov.absorbed import BoundaryPair
 from apmarkov.cli import main
 from apmarkov.config import (ConfigError, config_hash, parse_config,
                              serialize_config)
+from apmarkov.timefns import parse_time_function
 
 OU_MODEL = {
     "kind": "ou",
@@ -170,6 +174,42 @@ def test_cli_survival_with_k_list_override(tmp_path):
     lines = (out / "survival.csv").read_text().splitlines()
     assert lines[0] == "k,gap,stderr,sandwich_prob"
     assert [ln.split(",")[0] for ln in lines[1:]] == ["0", "2"]
+
+
+def test_cli_validates_the_model_once(tmp_path, monkeypatch):
+    calls = []
+    validate = BoundaryPair.validate
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(BoundaryPair, "validate", counted)
+    doc = {"experiment": "survival", "seed": 5, "model": BOUNDARY_MODEL,
+           "params": {"s": 0.0, "t": 0.3, "x": 0.0, "k_values": [0],
+                      "n_paths": 50, "dt": 0.01}}
+    cfg = write(tmp_path, doc)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "sv")]) == 0
+    assert len(calls) == 1
+
+
+def test_reciprocal_at_zero_is_inf_and_rejected_by_bounds(tmp_path, capsys):
+    doc = ergodic_doc()
+    doc["model"] = dict(OU_MODEL, **{"lambda": {"expr": "1/t", "lower": 0.5, "upper": 2}})
+    cfg = write(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parse_time_function("1/t")(0.0) == math.inf
+        assert main(["ergodic", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "bounds" in capsys.readouterr().err
+
+
+def test_cli_minorization_nan_a_exit_2(tmp_path, capsys):
+    doc = {"experiment": "minorization", "seed": 1,
+           "params": {"a": math.nan, "b_minus": 1.0, "b_plus": 2.0}}
+    cfg = write(tmp_path, doc)
+    assert main(["minorization", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "params.a" in capsys.readouterr().err
 
 
 def test_cli_bad_k_list_exit_2(tmp_path, capsys):

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from apmarkov import ergodic
 from apmarkov.ergodic import (default_checkpoints, ergodic_time_averages,
                               normal_initial, point_initial, run_as_experiment,
                               run_l2_experiment)
-from apmarkov.ou import OUSpec, default_ou_spec, ou_stepper
-from apmarkov.paths import Observable, simulate_ensemble, time_average
-from apmarkov.timefns import TimeGrid
+from apmarkov.ou import OUSpec, default_ou_spec, transition_params
+from apmarkov.paths import Observable
+from apmarkov.rng import make_generator
 
 ONE = Observable("one", lambda x: np.ones_like(x), bound=1.0)
 X2 = Observable("x2", lambda x: x * x)
@@ -19,23 +20,44 @@ def periodic_spec() -> OUSpec:
 
 
 def test_fast_runner_matches_reference_paths():
+    # reference: one scalar step x -> m x + sigma z per grid step, drawn from
+    # replica r's substream, then the trapezoid rule along the stored path
     spec = default_ou_spec()
-    grid = TimeGrid(0.0, 0.01, 250)
-    ens = simulate_ensemble(ou_stepper(spec), point_initial(0.5), grid, 4, seed=77)
-    slow = np.array([[time_average(ens.states[r], grid, X2, t) for t in (1.0, 2.5)]
-                     for r in range(4)])
-    fast = ergodic_time_averages(spec.lam, X2, point_initial(0.5), [1.0, 2.5],
-                                 0.01, 4, seed=77)
+    dt, n_steps, t_values = 0.01, 250, (1.0, 2.5)
+    ts = dt * np.arange(n_steps + 1)
+    steps = [transition_params(spec.lam, ts[k], ts[k + 1]) for k in range(n_steps)]
+    slow = np.empty((4, len(t_values)))
+    for r in range(4):
+        gen = make_generator(77, r)
+        x = [0.5]
+        for tr in steps:
+            x.append(tr.m * x[-1] + tr.sigma * gen.standard_normal())
+        x = np.array(x)
+        for j, t in enumerate(t_values):
+            n = int(round(t / dt))
+            slow[r, j] = np.trapezoid(x[:n + 1] ** 2, dx=dt) / t
+    fast = ergodic_time_averages(spec.lam, X2, point_initial(0.5), list(t_values),
+                                 dt, 4, seed=77)
     np.testing.assert_allclose(fast, slow, atol=1e-10)
 
 
-def test_runner_is_thread_count_invariant():
+def test_runner_is_thread_count_invariant(monkeypatch):
     spec = default_ou_spec()
-    a = ergodic_time_averages(spec.lam, X2, point_initial(0.0), [1.0, 2.0],
-                              0.01, 6, seed=9, threads=1)
-    b = ergodic_time_averages(spec.lam, X2, point_initial(0.0), [1.0, 2.0],
-                              0.01, 6, seed=9, threads=4)
-    assert np.array_equal(a, b)
+
+    def run(n_replicas=6, seed=9, threads=1):
+        return ergodic_time_averages(spec.lam, X2, normal_initial(0.0, 1.0), [1.0, 2.0],
+                                     0.01, n_replicas, seed=seed, threads=threads)
+
+    whole = run()
+    assert np.array_equal(run(threads=4), whole)  # one batch: the pool is skipped
+    # 200 steps per replica: caps of 400 and 200 give 3 and 6 batches
+    for cap in (400, 200):
+        monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", cap)
+        assert np.array_equal(run(threads=1), whole)
+        assert np.array_equal(run(threads=4), whole)
+    assert np.array_equal(run(), whole)  # same seed, same bits
+    assert not np.array_equal(run(seed=10), whole)
+    assert np.array_equal(run(n_replicas=8, threads=4)[:3], run(n_replicas=3))
 
 
 def test_checkpoints_must_align_with_grid():

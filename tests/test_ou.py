@@ -5,8 +5,7 @@ import pytest
 
 from apmarkov.ou import (GaussianTransition, OUSpec, asymptotic_periodicity_report,
                          default_ou_spec, gaussian_tv, grid_transition_params,
-                         ou_stepper, transition_params)
-from apmarkov.rng import make_generator
+                         transition_params)
 from apmarkov.timefns import TimeGrid, const, parse_time_function
 
 from oracles import gaussian_tv_exact, ou_constant_variance
@@ -82,40 +81,10 @@ def test_sigma_validation():
         GaussianTransition(m=1.0, sigma=-0.1)
 
 
-# -- sampler -----------------------------------------------------------------
-
-def test_stepper_with_zero_sigma_is_deterministic():
-    stepper = ou_stepper(default_ou_spec())
-    stepper._cache[(0.0, 1.0)] = GaussianTransition(m=0.5, sigma=0.0)
-    gen = make_generator(0, 0)
-    assert stepper(0.0, 1.0, 2.0, gen) == pytest.approx(1.0, abs=0.0)
-
-
-def test_stepper_brownian_moments():
-    stepper = ou_stepper(OUSpec(lam=ZERO, g=const(1.0, lower=1, upper=1, period=1.0),
-                                gamma=1.0))
-    gen = make_generator(11, 0)
-    dt = 0.01
-    draws = stepper(0.0, dt, np.zeros(100_000), gen)
-    se_mean = math.sqrt(dt / draws.size)
-    assert abs(draws.mean()) <= 3 * se_mean
-    assert draws.var(ddof=1) == pytest.approx(dt, rel=0.02)
-
-
-def test_stepper_unit_drift_mean():
-    stepper = ou_stepper(OUSpec(lam=UNIT, g=const(1.0, lower=1, upper=1, period=1.0),
-                                gamma=1.0))
-    gen = make_generator(13, 0)
-    draws = stepper(0.0, 1.0, np.ones(100_000), gen)
-    tr = transition_params(UNIT, 0.0, 1.0)
-    se = tr.sigma / math.sqrt(draws.size)
-    assert abs(draws.mean() - math.exp(-1.0)) <= 3 * se
-
-
 def test_use_auxiliary_switches_drift():
     spec = default_ou_spec()
-    assert ou_stepper(spec, use_auxiliary=True).drift is spec.g
-    assert ou_stepper(spec, use_auxiliary=False).drift is spec.lam
+    assert spec.drift(True) is spec.g
+    assert spec.drift(False) is spec.lam
 
 
 # -- validation of the spec type ---------------------------------------------

@@ -1,147 +1,10 @@
-import json
-
 import numpy as np
 import pytest
-from scipy.stats import chi2
 
-from apmarkov.ou import OUStepper
-from apmarkov.paths import (Observable, SimulationError, export_ensemble_csv,
-                            simulate_ensemble, time_average)
-from apmarkov.timefns import TimeGrid, const
-
-ONE = Observable("one", lambda x: np.ones_like(x), bound=1.0)
-X2 = Observable("x2", lambda x: x * x)
-X = Observable("x", lambda x: x)
-
-
-def identity_stepper(t0, t1, x, gen):
-    return x
-
-
-def delta0(gen):
-    return 0.0
-
-
-def test_identity_stepper_stays_at_zero():
-    grid = TimeGrid(0.0, 0.1, 20)
-    ens = simulate_ensemble(identity_stepper, delta0, grid, n_replicas=4, seed=1)
-    assert np.all(ens.states == 0.0)
-
-
-def test_same_seed_reproduces_bitwise():
-    grid = TimeGrid(0.0, 0.05, 30)
-    stepper = OUStepper(const(0.0, lower=0.0, upper=0.0))
-    a = simulate_ensemble(stepper, delta0, grid, 6, seed=42)
-    b = simulate_ensemble(stepper, delta0, grid, 6, seed=42)
-    assert np.array_equal(a.states, b.states)
-    c = simulate_ensemble(stepper, delta0, grid, 6, seed=43)
-    assert not np.array_equal(a.states, c.states)
-
-
-def test_replica_substreams_are_order_independent():
-    grid = TimeGrid(0.0, 0.05, 10)
-    stepper = OUStepper(const(0.0, lower=0.0, upper=0.0))
-    big = simulate_ensemble(stepper, delta0, grid, 8, seed=9)
-    small = simulate_ensemble(stepper, delta0, grid, 3, seed=9)
-    assert np.array_equal(big.states[:3], small.states)
-
-
-def test_brownian_increment_variance_chi2():
-    # lam = 0 makes steps pure Brownian: per-step variance dt, chi^2 bounds
-    grid = TimeGrid(0.0, 0.04, 5)
-    stepper = OUStepper(const(0.0, lower=0.0, upper=0.0))
-    ens = simulate_ensemble(stepper, delta0, grid, 20_000, seed=7)
-    inc = np.diff(ens.states, axis=1).ravel()
-    n = inc.size
-    s2 = inc.var(ddof=1)
-    lo = chi2.ppf(0.0005, n - 1) / (n - 1) * grid.dt
-    hi = chi2.ppf(0.9995, n - 1) / (n - 1) * grid.dt
-    assert lo <= s2 <= hi
-
-
-def test_stepper_failure_reports_context():
-    def broken(t0, t1, x, gen):
-        raise RuntimeError("boom")
-
-    grid = TimeGrid(0.0, 0.1, 3)
-    with pytest.raises(SimulationError, match="replica 0, step 0"):
-        simulate_ensemble(broken, delta0, grid, 1, seed=0)
-
-
-def test_n_replicas_validation():
-    grid = TimeGrid(0.0, 0.1, 3)
-    with pytest.raises(SimulationError):
-        simulate_ensemble(identity_stepper, delta0, grid, 0, seed=0)
-
-
-# -- time averages -----------------------------------------------------------
-
-def test_time_average_of_one_is_one():
-    grid = TimeGrid(0.0, 0.1, 50)
-    path = np.sin(grid.times())
-    assert time_average(path, grid, ONE, 5.0) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_time_average_constant_path():
-    grid = TimeGrid(0.0, 0.1, 40)
-    path = np.full(41, 1.7)
-    assert time_average(path, grid, X2, 4.0) == pytest.approx(1.7 ** 2, rel=1e-14)
-
-
-def test_time_average_linear_path():
-    grid = TimeGrid(0.0, 0.01, 100)
-    path = grid.times()  # X_s = s on [0, 1]
-    assert time_average(path, grid, X, 1.0) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_time_average_requires_positive_t_within_span():
-    grid = TimeGrid(0.0, 0.1, 10)
-    path = grid.times()
-    with pytest.raises(ValueError):
-        time_average(path, grid, X, 0.0)
-    with pytest.raises(ValueError):
-        time_average(path, grid, X, 1.5)
-
-
-def test_time_average_linear_in_f():
-    grid = TimeGrid(0.0, 0.02, 200)
-    gen = np.random.default_rng(5)
-    path = np.cumsum(gen.standard_normal(201)) * 0.1
-    f_sum = Observable("x+x2", lambda x: x + x * x)
-    a = time_average(path, grid, X, 3.0)
-    b = time_average(path, grid, X2, 3.0)
-    c = time_average(path, grid, f_sum, 3.0)
-    assert c == pytest.approx(a + b, rel=1e-12)
-
-
-def test_time_average_refinement_second_order():
-    # smooth path x(s) = sin(s), f = x^2: error should drop ~4x per halving
-    exact = 0.5 - np.sin(2.0) / 4.0  # int_0^1 sin^2 = 1/2 - sin(2)/4
-    errs = []
-    for n in (50, 100, 200):
-        grid = TimeGrid(0.0, 1.0 / n, n)
-        path = np.sin(grid.times())
-        errs.append(abs(time_average(path, grid, X2, 1.0) - exact))
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
-    assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
+from apmarkov.paths import Observable, SimulationError
 
 
 def test_observable_bound_enforced():
     capped = Observable("capped", lambda x: x, bound=0.5)
     with pytest.raises(SimulationError):
         capped(np.array([0.2, 0.9]))
-
-
-def test_export_csv_and_sidecar(tmp_path):
-    grid = TimeGrid(0.0, 0.5, 2)
-    ens = simulate_ensemble(identity_stepper, lambda gen: 1.0, grid, 2, seed=3)
-    csv_path = tmp_path / "ens.csv"
-    meta_path = tmp_path / "ens.meta.jsonl"
-    export_ensemble_csv(ens, csv_path, meta_path, {"kind": "identity"})
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "replica,step,time,state"
-    assert len(lines) == 1 + 2 * 3
-    meta = json.loads(meta_path.read_text())
-    assert meta["seed"] == 3
-    assert meta["grid"]["n_steps"] == 2
-    assert meta["model"] == {"kind": "identity"}
