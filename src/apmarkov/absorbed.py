@@ -151,7 +151,8 @@ def _bridge_step(x, xn, h0, h1, dt: float, u) -> np.ndarray:
     hit = np.zeros(near.shape, dtype=bool)
     sel = np.nonzero(near)
     if sel[0].size:
-        x, xn, h0, h1, u = (np.broadcast_to(v, near.shape)[sel] for v in (x, xn, h0, h1, u))
+        x, xn, h0, h1, u = (v if np.ndim(v) == 0 else v[sel] if np.shape(v) == near.shape
+                            else np.broadcast_to(v, near.shape)[sel] for v in (x, xn, h0, h1, u))
         up = np.exp(-2.0 * np.maximum(h0 - x, 0.0) * np.maximum(h1 - xn, 0.0) / dt)
         dn = np.exp(-2.0 * np.maximum(h0 + x, 0.0) * np.maximum(h1 + xn, 0.0) / dt)
         hit[sel] = u < up + dn - up * dn

@@ -204,7 +204,9 @@ def parse_config(doc: Any) -> ExperimentConfig:
         raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     model_raw = doc.get("model")
     if kind == "minorization":
-        model = None  # the Gaussian-class certificate needs no model
+        if "model" in doc:  # the Gaussian-class certificate takes no model
+            raise ConfigError("model: experiment 'minorization' takes no model")
+        model = None
     else:
         if model_raw is None:
             raise ConfigError(f"experiment {kind!r} needs a model")

@@ -2,11 +2,13 @@
 period-averaged limit, variance decay in t, and single-path almost-sure
 convergence evidence.
 
-Replica r draws from the (seed, r) substream, so reports reproduce exactly
-and are invariant to batching and thread count.  States are advanced by the
-exact one-step Gaussian recursion x -> m_k x + sigma_k z; whole windows of
-steps are unrolled with prefix products, which reassociates floating-point
-sums only (documented tolerance 1e-12).
+Replica r draws from the (seed, r) substream, _CHUNK windows of normals per
+generator call (one stream however it is cut), so reports reproduce exactly
+and are invariant to chunking, batching and thread count.  States are
+advanced by the exact one-step Gaussian recursion x -> m_k x + sigma_k z;
+whole windows of steps are unrolled with prefix products, which reassociates
+floating-point sums only (documented tolerance 1e-12).  Threads run batches
+of at most _MAX_BATCH_ELEMS replica-steps, so they help only from 2 batches.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
 ]
 
 _WINDOW = 256  # steps unrolled per prefix-product window
+_CHUNK = 4  # windows of normals drawn per replica per generator call
 _MAX_BATCH_ELEMS = int(2e7)  # replica-steps per batch; batches go to the thread pool
 
 
@@ -79,68 +82,60 @@ def _checkpoint_steps(t_values: Sequence[float], dt: float, n_steps: int) -> Lis
     return steps
 
 
-def _window_states(x0: np.ndarray, m: np.ndarray, sig: np.ndarray,
-                   z: np.ndarray) -> np.ndarray:
-    """States after each of the window's steps, from x0 of shape (B,).
-
-    x_{j+1} = P_j (x0 + sum_{i<=j} sigma_i z_i / P_i) with P the prefix
-    products of m; exact up to float reassociation for windows short enough
-    that the products stay in range (window length 256, drift <= 2).
-    """
-    p = np.cumprod(m)
-    incr = np.cumsum(sig * z / p, axis=-1)
-    return p * (x0[..., None] + incr)
-
-
-def _run_batch(replicas: range, drift, f, initial, grid: TimeGrid,
+def _run_batch(replicas: range, windows, f, initial, grid: TimeGrid,
                check_steps: List[int], seed: int, out: np.ndarray) -> None:
-    n_rep = len(replicas)
+    """Advance the replicas window by window in reused work buffers:
+    x_{j+1} = P_j (x0 + sum_{i<=j} sigma_i z_i / P_i) with P the prefix
+    products of m, exact up to float reassociation while P stays in range
+    (window length 256, drift <= 2)."""
+    n_rep, dt = len(replicas), grid.dt
     gens = [make_generator(seed, r) for r in replicas]
     x = np.array([float(initial(g)) for g in gens])
     f_prev = np.asarray(f(x), dtype=float)
     running = np.zeros(n_rep)
-    checks = {k: j for j, k in enumerate(check_steps)}
-    k0 = 0
-    while k0 < grid.n_steps:
-        w = min(_WINDOW, grid.n_steps - k0)
-        sub = TimeGrid(t0=grid.t0 + k0 * grid.dt, dt=grid.dt, n_steps=w)
-        m, sig = grid_transition_params(drift, sub)
-        z = np.stack([g.standard_normal(w) for g in gens])
-        states = _window_states(x, m, sig, z)
-        f_vals = np.asarray(f(states), dtype=float)
-        pieces = 0.5 * grid.dt * np.concatenate(
-            [(f_prev + f_vals[:, 0])[:, None],
-             f_vals[:, :-1] + f_vals[:, 1:]], axis=1)
-        cum = np.cumsum(pieces, axis=1)
-        for j in range(w):
-            col = checks.get(k0 + j + 1)
-            if col is not None:
-                t = (k0 + j + 1) * grid.dt
-                out[replicas.start:replicas.stop, col] = (running + cum[:, j]) / t
-        running += cum[:, -1]
-        x = states[:, -1]
-        f_prev = f_vals[:, -1]
-        k0 += w
+    z = np.empty((n_rep, min(_CHUNK * _WINDOW, grid.n_steps)))
+    states, cum = np.empty((2, n_rep, _WINDOW))
+    for i, (m, sig) in enumerate(windows):
+        k0, w, c0 = i * _WINDOW, m.size, (i % _CHUNK) * _WINDOW
+        if c0 == 0:  # one generator call per replica for the next _CHUNK windows
+            for g, row in zip(gens, z):
+                g.standard_normal(out=row[:grid.n_steps - k0])
+        p, s, c = np.cumprod(m), states[:, :w], cum[:, :w]
+        np.multiply(sig, z[:, c0:c0 + w], out=s)
+        s /= p
+        np.cumsum(s, axis=1, out=s)
+        s += x[:, None]
+        s *= p
+        x = s[:, -1].copy()
+        f_vals = np.asarray(f(s), dtype=float)
+        np.add(f_prev, f_vals[:, 0], out=c[:, 0])
+        np.add(f_vals[:, :-1], f_vals[:, 1:], out=c[:, 1:])
+        f_prev = f_vals[:, -1].copy()
+        c *= 0.5 * dt
+        np.cumsum(c, axis=1, out=c)
+        for col, k in enumerate(check_steps):
+            if k0 < k <= k0 + w:
+                out[replicas.start:replicas.stop, col] = (running + c[:, k - k0 - 1]) / (k * dt)
+        running += c[:, -1]
 
 
 def ergodic_time_averages(drift, f: Observable, initial: InitialSampler,
                           t_values: Sequence[float], dt: float, n_replicas: int,
                           seed: int, threads: int = 1) -> np.ndarray:
     """Matrix of path time averages: rows replicas, columns the t_values."""
-    t_max = max(t_values)
-    n_steps = int(round(t_max / dt))
+    n_steps = int(round(max(t_values) / dt))
     grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)
     check_steps = _checkpoint_steps(t_values, dt, n_steps)
     out = np.empty((n_replicas, len(t_values)))
     batch = max(1, min(n_replicas, _MAX_BATCH_ELEMS // max(1, n_steps)))
     batches = [range(lo, min(lo + batch, n_replicas)) for lo in range(0, n_replicas, batch)]
-    if threads > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: _run_batch(b, drift, f, initial, grid,
-                                               check_steps, seed, out), batches))
-    else:
-        for b in batches:
-            _run_batch(b, drift, f, initial, grid, check_steps, seed, out)
+    windows = (grid_transition_params(drift, TimeGrid(k0 * dt, dt, min(_WINDOW, n_steps - k0)))
+               for k0 in range(0, n_steps, _WINDOW))  # (m, sigma) from each window's sub-grid
+    if len(batches) > 1:  # computed once for all batches; a single batch streams them
+        windows = list(windows)
+    with ThreadPoolExecutor(max_workers=max(1, min(threads, len(batches)))) as pool:
+        list(pool.map(lambda b: _run_batch(b, windows, f, initial, grid,
+                                           check_steps, seed, out), batches))
     return out
 
 

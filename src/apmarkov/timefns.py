@@ -196,7 +196,9 @@ class _Pow(_Node):
     exponent: float
 
     def ev(self, t):
-        return self.base.ev(t) ** self.exponent
+        base = self.base.ev(t)  # on float64 0^-1 is inf (bounds reject it), not an error
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (base if np.ndim(base) else np.float64(base)) ** self.exponent
 
     def diff(self):
         if self.exponent == 0.0:

@@ -2,8 +2,10 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
+from apmarkov import ergodic
 from apmarkov.absorbed import BoundaryPair
 from apmarkov.cli import main
 from apmarkov.config import (ConfigError, config_hash, parse_config,
@@ -202,6 +204,39 @@ def test_reciprocal_at_zero_is_inf_and_rejected_by_bounds(tmp_path, capsys):
         assert parse_time_function("1/t")(0.0) == math.inf
         assert main(["ergodic", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "bounds" in capsys.readouterr().err
+
+
+def test_negative_power_at_zero_is_inf_and_rejected_by_bounds(tmp_path, capsys):
+    doc = ergodic_doc()
+    doc["model"] = dict(OU_MODEL, **{"lambda": {"expr": "t^-1", "lower": 0.5, "upper": 2}})
+    cfg = write(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parse_time_function("t^-1")(0.0) == math.inf
+        assert parse_time_function("t^-1")(np.array([0.0, 2.0])).tolist() == [math.inf, 0.5]
+        assert main(["ergodic", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "bounds" in capsys.readouterr().err
+
+
+def test_cli_minorization_rejects_a_model(tmp_path, capsys):
+    doc = {"experiment": "minorization", "seed": 1, "model": {"kind": "junk", "x": 1},
+           "params": {"a": 1.0, "b_minus": 1.0, "b_plus": 2.0}}
+    cfg = write(tmp_path, doc)
+    assert main(["minorization", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "model" in capsys.readouterr().err
+
+
+def test_cli_ergodic_report_is_thread_count_invariant(tmp_path, monkeypatch):
+    # 300 steps per replica under a cap of 1000 replica-steps: 2 batches of 3
+    monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", 1000)
+    cfg = write(tmp_path, ergodic_doc(observable="x2", t_values=[1.0, 3.0], n_replicas=6))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert main(["ergodic", "--config", str(cfg), "--out", str(out),
+                     "--threads", threads]) == 0
+        reports.append((out / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_cli_minorization_nan_a_exit_2(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -12,6 +14,7 @@ from apmarkov.rng import make_generator
 
 ONE = Observable("one", lambda x: np.ones_like(x), bound=1.0)
 X2 = Observable("x2", lambda x: x * x)
+X = Observable("x", lambda x: x)
 
 
 def periodic_spec() -> OUSpec:
@@ -19,25 +22,58 @@ def periodic_spec() -> OUSpec:
     return OUSpec(lam=spec.g, g=spec.g, gamma=spec.gamma)
 
 
-def test_fast_runner_matches_reference_paths():
-    # reference: one scalar step x -> m x + sigma z per grid step, drawn from
-    # replica r's substream, then the trapezoid rule along the stored path
-    spec = default_ou_spec()
-    dt, n_steps, t_values = 0.01, 250, (1.0, 2.5)
+def reference_averages(drift, fn, x0, t_values, dt, n_replicas, seed):
+    # one scalar step x -> m x + sigma z per grid step, drawn from replica
+    # r's substream, then the trapezoid rule along the stored path
+    n_steps = int(round(max(t_values) / dt))
     ts = dt * np.arange(n_steps + 1)
-    steps = [transition_params(spec.lam, ts[k], ts[k + 1]) for k in range(n_steps)]
-    slow = np.empty((4, len(t_values)))
-    for r in range(4):
-        gen = make_generator(77, r)
-        x = [0.5]
+    steps = [transition_params(drift, ts[k], ts[k + 1]) for k in range(n_steps)]
+    slow = np.empty((n_replicas, len(t_values)))
+    for r in range(n_replicas):
+        gen = make_generator(seed, r)
+        x = [x0]
         for tr in steps:
             x.append(tr.m * x[-1] + tr.sigma * gen.standard_normal())
         x = np.array(x)
         for j, t in enumerate(t_values):
             n = int(round(t / dt))
-            slow[r, j] = np.trapezoid(x[:n + 1] ** 2, dx=dt) / t
+            slow[r, j] = np.trapezoid(fn(x[:n + 1]), dx=dt) / t
+    return slow
+
+
+def test_fast_runner_matches_reference_paths():
+    spec = default_ou_spec()
+    dt, t_values = 0.01, (1.0, 2.5)
+    slow = reference_averages(spec.lam, X2, 0.5, t_values, dt, 4, seed=77)
     fast = ergodic_time_averages(spec.lam, X2, point_initial(0.5), list(t_values),
                                  dt, 4, seed=77)
+    np.testing.assert_allclose(fast, slow, atol=1e-10)
+
+
+def test_chunked_draws_and_batches_give_the_same_bits(monkeypatch):
+    # 1100 steps: 4 full windows of 256 and a partial one; checkpoints on the
+    # first step, window edges (256, 512), the default chunk edge (1024), the
+    # steps after them, and the last step
+    spec = default_ou_spec()
+    t_values = [0.01, 2.56, 2.57, 5.12, 10.24, 10.25, 11.0]
+
+    def run(f, threads=1):
+        return ergodic_time_averages(spec.lam, f, normal_initial(0.0, 1.0), t_values,
+                                     0.01, 5, seed=31, threads=threads)
+
+    # chunk 1 is one draw per window, 100 exceeds the run; cap 2200 makes 3 batches
+    cases = list(product((1, 2, ergodic._CHUNK, 100), (ergodic._MAX_BATCH_ELEMS, 2200),
+                         (1, 2)))
+    for f in (X2, X):  # X returns the state buffer itself
+        whole = run(f)
+        for chunk, cap, threads in cases:
+            monkeypatch.setattr(ergodic, "_CHUNK", chunk)
+            monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", cap)
+            assert np.array_equal(run(f, threads), whole)
+        monkeypatch.undo()
+    slow = reference_averages(spec.lam, X, 0.25, t_values, 0.01, 2, seed=31)
+    fast = ergodic_time_averages(spec.lam, X, point_initial(0.25), t_values, 0.01, 2,
+                                 seed=31)
     np.testing.assert_allclose(fast, slow, atol=1e-10)
 
 
