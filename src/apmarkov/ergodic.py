@@ -82,24 +82,24 @@ def _checkpoint_steps(t_values: Sequence[float], dt: float, n_steps: int) -> Lis
     return steps
 
 
-def _run_batch(replicas: range, windows, f, initial, grid: TimeGrid,
+def _run_batch(replicas: range, drift, f, initial, grid: TimeGrid,
                check_steps: List[int], seed: int, out: np.ndarray) -> None:
-    """Advance the replicas window by window in reused work buffers:
-    x_{j+1} = P_j (x0 + sum_{i<=j} sigma_i z_i / P_i) with P the prefix
-    products of m, exact up to float reassociation while P stays in range
-    (window length 256, drift <= 2)."""
+    """Advance the replicas window by window in reused work buffers: x_{j+1}
+    = P_j (x0 + sum_{i<=j} sigma_i z_i / P_i) with P the prefix products of m,
+    exact up to float reassociation while P stays in range (256 steps, drift <= 2)."""
     n_rep, dt = len(replicas), grid.dt
     gens = [make_generator(seed, r) for r in replicas]
     x = np.array([float(initial(g)) for g in gens])
     f_prev = np.asarray(f(x), dtype=float)
     running = np.zeros(n_rep)
     z = np.empty((n_rep, min(_CHUNK * _WINDOW, grid.n_steps)))
-    states, cum = np.empty((2, n_rep, _WINDOW))
-    for i, (m, sig) in enumerate(windows):
-        k0, w, c0 = i * _WINDOW, m.size, (i % _CHUNK) * _WINDOW
+    states, cum = np.empty((2, n_rep, min(_WINDOW, grid.n_steps)))
+    for k0 in range(0, grid.n_steps, _WINDOW):
+        w, c0 = min(_WINDOW, grid.n_steps - k0), k0 % (_CHUNK * _WINDOW)
         if c0 == 0:  # one generator call per replica for the next _CHUNK windows
             for g, row in zip(gens, z):
                 g.standard_normal(out=row[:grid.n_steps - k0])
+        m, sig = grid_transition_params(drift, TimeGrid(grid.t0 + k0 * dt, dt, w))
         p, s, c = np.cumprod(m), states[:, :w], cum[:, :w]
         np.multiply(sig, z[:, c0:c0 + w], out=s)
         s /= p
@@ -129,13 +129,13 @@ def ergodic_time_averages(drift, f: Observable, initial: InitialSampler,
     out = np.empty((n_replicas, len(t_values)))
     batch = max(1, min(n_replicas, _MAX_BATCH_ELEMS // max(1, n_steps)))
     batches = [range(lo, min(lo + batch, n_replicas)) for lo in range(0, n_replicas, batch)]
-    windows = (grid_transition_params(drift, TimeGrid(k0 * dt, dt, min(_WINDOW, n_steps - k0)))
-               for k0 in range(0, n_steps, _WINDOW))  # (m, sigma) from each window's sub-grid
-    if len(batches) > 1:  # computed once for all batches; a single batch streams them
-        windows = list(windows)
-    with ThreadPoolExecutor(max_workers=max(1, min(threads, len(batches)))) as pool:
-        list(pool.map(lambda b: _run_batch(b, windows, f, initial, grid,
-                                           check_steps, seed, out), batches))
+    if threads > 1 and len(batches) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(lambda b: _run_batch(b, drift, f, initial, grid,
+                                               check_steps, seed, out), batches))
+    else:
+        for b in batches:
+            _run_batch(b, drift, f, initial, grid, check_steps, seed, out)
     return out
 
 

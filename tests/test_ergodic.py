@@ -1,3 +1,5 @@
+import threading
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -94,6 +96,35 @@ def test_runner_is_thread_count_invariant(monkeypatch):
     assert np.array_equal(run(), whole)  # same seed, same bits
     assert not np.array_equal(run(seed=10), whole)
     assert np.array_equal(run(n_replicas=8, threads=4)[:3], run(n_replicas=3))
+
+
+def test_serial_runs_stay_on_the_calling_thread(monkeypatch):
+    # a serial run must stay interruptible: no worker thread, even with batches
+    seen = []
+    real = ergodic._run_batch
+    monkeypatch.setattr(ergodic, "_run_batch",
+                        lambda *a: seen.append(threading.current_thread()) or real(*a))
+    monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", 200)
+    ergodic_time_averages(default_ou_spec().lam, X2, point_initial(0.0), [2.0], 0.01, 3,
+                          seed=0, threads=1)
+    assert seen == [threading.main_thread()] * 3
+
+
+def test_batch_memory_follows_the_run_not_the_window(monkeypatch):
+    # work buffers no wider than the run, transition parameters streamed per
+    # window: 4000 replicas x 10 steps and 2 batches of 1 replica x 1e5 steps
+    spec = default_ou_spec()
+    for n_replicas, t_max, cap, limit_mb in ((4000, 0.1, int(2e7), 8.0),
+                                            (2, 1000.0, 100000, 0.5)):
+        monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", cap)
+        tracemalloc.start()
+        try:
+            ergodic_time_averages(spec.lam, X2, point_initial(0.0), [t_max], 0.01,
+                                  n_replicas, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 1e6
 
 
 def test_checkpoints_must_align_with_grid():
