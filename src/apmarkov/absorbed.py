@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 # normals per engine batch (plus as many uniforms): sets peak memory
-_MAX_BATCH_ELEMS = int(1e7)
+_MAX_BATCH_ELEMS = int(1e6)
 # steps per step-major noise window; the working set is compacted between windows
 _WINDOW = 64
 # bridge crossings are evaluated within this many sqrt(dt) of the boundary
@@ -134,11 +134,12 @@ def default_boundary_pair() -> BoundaryPair:
 # absorption engine
 # ---------------------------------------------------------------------------
 
-def _bridge_step(x, xn, h0, h1, dt: float, u) -> np.ndarray:
+def _bridge_step(x, xn, h0, h1, dt, u) -> np.ndarray:
     """Bridge-triggered absorption over one step: u < p, where p is the
     probability that the Brownian bridge from x to xn over a step of length
     dt leaves (-h, h) for the boundary linearised from h0 to h1, the up and
-    down crossings combined as up + dn - up dn.  Arguments broadcast.
+    down crossings combined as up + dn - up dn.  Arguments broadcast; dt is
+    a scalar or an array of per-step lengths.
 
     p is only evaluated within _BRIDGE_REACH sqrt(dt) of the boundary (at
     either end of the step) and where u == 0.  Everywhere else both
@@ -146,13 +147,14 @@ def _bridge_step(x, xn, h0, h1, dt: float, u) -> np.ndarray:
     the smallest positive uniform, and the test is False: the result equals
     evaluating p everywhere, bit for bit.
     """
-    reach = _BRIDGE_REACH * math.sqrt(dt)
+    reach = _BRIDGE_REACH * np.sqrt(dt)
     near = (np.abs(x) > h0 - reach) | (np.abs(xn) > h1 - reach) | (u == 0.0)
     hit = np.zeros(near.shape, dtype=bool)
     sel = np.nonzero(near)
     if sel[0].size:
-        x, xn, h0, h1, u = (v if np.ndim(v) == 0 else v[sel] if np.shape(v) == near.shape
-                            else np.broadcast_to(v, near.shape)[sel] for v in (x, xn, h0, h1, u))
+        x, xn, h0, h1, dt, u = (v if np.ndim(v) == 0 else v[sel] if np.shape(v) == near.shape
+                                else np.broadcast_to(v, near.shape)[sel]
+                                for v in (x, xn, h0, h1, dt, u))
         up = np.exp(-2.0 * np.maximum(h0 - x, 0.0) * np.maximum(h1 - xn, 0.0) / dt)
         dn = np.exp(-2.0 * np.maximum(h0 + x, 0.0) * np.maximum(h1 + xn, 0.0) / dt)
         hit[sel] = u < up + dn - up * dn
@@ -196,13 +198,9 @@ def _engine(ts: np.ndarray, hb: np.ndarray, x0: float, ids: range, seed: int,
     x = np.full(n, float(x0))
     alive = np.ones((len(hb), n), dtype=bool)
     tau = np.full((len(hb), n), np.inf)
-    rec = None
-    if record_step is not None:
-        rec = np.full(n, float(x0) if record_step == 0 else np.nan)
-    paths = None
-    if keep_paths:
-        paths = np.empty((n, n_steps + 1))
-        paths[:, 0] = x
+    rec = np.full(n, float(x0) if record_step == 0 else np.nan)
+    paths = np.full((n, n_steps + 1), float(x0)) if keep_paths else None
+    dts = np.diff(ts)
     for k0 in range(0, n_steps, _WINDOW):
         k1 = min(k0 + _WINDOW, n_steps)
         if not keep_paths:
@@ -211,37 +209,37 @@ def _engine(ts: np.ndarray, hb: np.ndarray, x0: float, ids: range, seed: int,
                 rows, x, alive = rows[live], x[live], alive[:, live]
                 if rows.size == 0:
                     break
-        # step-major copies of the window's noise, working-set rows only
-        zw = z[rows, k0:k1].T.copy()
-        uw = u[rows, k0:k1].T.copy() if bridge else None
-        xw = np.empty((k1 - k0, n)) if keep_paths else None
-        for j, k in enumerate(range(k0, k1)):
-            dt_k = ts[k + 1] - ts[k]
-            xn = x + math.sqrt(dt_k) * zw[j]
-            h1 = hb[:, k + 1, None]
-            direct = np.abs(xn) >= h1
-            if bridge:
-                hit = direct | _bridge_step(x, xn, hb[:, k, None], h1, dt_k, uw[j])
-            else:
-                hit = direct
-            hit = hit & alive
-            if hit.any():
-                b, i = np.nonzero(hit)
-                tau[b, rows[i]] = np.where(direct[b, i], ts[k + 1], ts[k] + 0.5 * dt_k)
-                alive &= ~hit
-            x = xn
-            if record_step == k + 1:
-                rec[rows] = xn
-            if keep_paths:
-                xw[j] = xn
+        # the window's states, step-major: X[j] = x + sum of the first j
+        # increments, added in step order, as a step-by-step loop adds them
+        dt_w = dts[k0:k1, None]
+        X = np.empty((k1 - k0 + 1, len(rows)))
+        X[0] = x
+        np.multiply(np.sqrt(dt_w), z[rows, k0:k1].T, out=X[1:])
+        np.cumsum(X, axis=0, out=X)
+        h1 = hb[:, k0 + 1:k1 + 1, None]
+        direct = np.abs(X[1:]) >= h1  # (n_boundaries, window steps, working set)
+        hit = direct
+        if bridge:
+            hit = direct | _bridge_step(X[:-1], X[1:], hb[:, k0:k1, None], h1, dt_w,
+                                        u[rows, k0:k1].T)
+        hit = hit & alive[:, None, :]
+        b, i = np.nonzero(hit.any(axis=1))
+        if b.size:  # first hit of each newly absorbed (boundary, path)
+            j = hit[b, :, i].argmax(axis=1)
+            tau[b, rows[i]] = np.where(direct[b, j, i], ts[k0 + j + 1],
+                                       ts[k0 + j] + 0.5 * dts[k0 + j])
+            alive[b, i] = False
+        x = X[-1]
+        if record_step is not None and k0 < record_step <= k1:
+            rec[rows] = X[record_step - k0]
         if keep_paths:
-            paths[:, k0 + 1:k1 + 1] = xw.T
+            paths[:, k0 + 1:k1 + 1] = X[1:].T
     final = np.full(n, np.nan)
     final[rows] = x
     if not stacked:
         tau = tau[0]
     out = {"tau": tau, "alive": tau == np.inf, "final": final}
-    if rec is not None:
+    if record_step is not None:
         out["rec"] = rec
     if paths is not None:
         out["paths"] = paths
@@ -498,6 +496,7 @@ def fleming_viot(h, n_particles: int, dt: float, T: float, seed: int,
     occupied_time = 0.0
     log: List[Tuple[float, int, int]] = []
     rows = np.arange(n_particles)
+    flat_hist, cell_base = hist.reshape(-1), rows * mesh.n_cells
 
     for k in range(n_steps):
         dt_k = ts[k + 1] - ts[k]
@@ -509,21 +508,22 @@ def fleming_viot(h, n_particles: int, dt: float, T: float, seed: int,
             absorbed = direct | _bridge_step(pos, xn, hb[k], hb[k + 1], dt_k, u)
         else:
             absorbed = direct
-        if np.all(absorbed):
+        n_abs = np.count_nonzero(absorbed)
+        if n_abs == n_particles:
             raise SimulationError(
                 f"all {n_particles} particles absorbed in one step at t={ts[k + 1]:.4f}; "
                 "decrease dt or increase the particle count")
-        if np.any(absorbed):
+        if n_abs:  # one donor draw per absorbed particle, in index order
+            dead = rows[absorbed]
             survivors = rows[~absorbed]
             rekey(donor_gen, seed, 2, k)
-            for i in rows[absorbed]:
-                donor = int(survivors[donor_gen.integers(len(survivors))])
-                xn[i] = xn[donor]
-                hist[i] = hist[donor]
-                log.append((ts[k + 1], int(i), donor))
+            donors = survivors[donor_gen.integers(len(survivors), size=n_abs)]
+            xn[dead] = xn[donors]  # donors are survivors, so the order is immaterial
+            hist[dead] = hist[donors]
+            log.extend(zip([ts[k + 1]] * n_abs, dead.tolist(), donors.tolist()))
         pos = xn
         if ts[k + 1] - t_start > burn_in + 1e-12:
-            hist[rows, mesh.cell_index(pos)] += dt_k
+            flat_hist[cell_base + mesh.cell_index(pos)] += dt_k
             occupied_time += dt_k
 
     system = ParticleSystem(n_particles=n_particles, positions=pos,

@@ -168,6 +168,12 @@ def _check_params(kind: str, params: dict) -> dict:
     return params
 
 
+def _check_threads(threads: Any) -> int:
+    if not isinstance(threads, int) or threads < 1:
+        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
+    return threads
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -187,7 +193,7 @@ class ExperimentConfig:
                        params: Optional[dict] = None) -> "ExperimentConfig":
         return replace(self,
                        seed=self.seed if seed is None else seed,
-                       threads=self.threads if threads is None else threads,
+                       threads=self.threads if threads is None else _check_threads(threads),
                        params={**self.params, **(params or {})})
 
 
@@ -199,9 +205,7 @@ def parse_config(doc: Any) -> ExperimentConfig:
         raise ConfigError(f"experiment must be one of {EXPERIMENT_KINDS}, got {kind!r}")
     if not isinstance(doc["seed"], int) or isinstance(doc["seed"], bool) or doc["seed"] < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {doc['seed']!r}")
-    threads = doc.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
+    threads = _check_threads(doc.get("threads", 1))
     model_raw = doc.get("model")
     if kind == "minorization":
         if "model" in doc:  # the Gaussian-class certificate takes no model

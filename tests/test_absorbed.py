@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,113 @@ def test_rekeyed_generator_draws_like_a_fresh_one():
         assert np.array_equal(reused.standard_normal(37), fresh.standard_normal(37))
         assert np.array_equal(reused.random(11), fresh.random(11))
         reused.random(3, dtype=np.float32)  # leave a buffered half-word behind
+
+
+def reference_engine(ts, hb, x0, ids, seed, bridge):
+    """The absorbed engine's specification: every path stepped one step at a
+    time to the end of the window; returns tau (one row per boundary) and
+    the whole paths."""
+    hb = np.atleast_2d(hb)
+    draws = [(g.standard_normal(len(ts) - 1), g.random(len(ts) - 1))
+             for g in (make_generator(seed, r) for r in ids)]
+    z, u = (np.array(v) for v in zip(*draws))
+    x = np.full(len(ids), float(x0))
+    tau = np.full((len(hb), len(ids)), np.inf)
+    paths = [x]
+    for k in range(len(ts) - 1):
+        dt = ts[k + 1] - ts[k]
+        xn = x + math.sqrt(dt) * z[:, k]
+        direct = np.abs(xn) >= hb[:, k + 1, None]
+        hit = direct | (bridge & absorbed._bridge_step(x, xn, hb[:, k, None],
+                                                       hb[:, k + 1, None], dt, u[:, k]))
+        new = hit & (tau == np.inf)
+        tau[new] = np.where(direct, ts[k + 1], ts[k] + 0.5 * dt)[new]
+        x = xn
+        paths.append(x)
+    return tau, np.stack(paths, axis=1)
+
+
+@pytest.mark.parametrize("bridge", [True, False])
+@pytest.mark.parametrize("n_steps", [40, 150])
+def test_window_kernel_equals_per_step_reference(bridge, n_steps):
+    # a non-uniform clock (as on the Girsanov route) whose last window ends
+    # off the _WINDOW grid; boundaries tight enough that compaction drops paths
+    gen = np.random.default_rng(n_steps)
+    ts = 0.3 + np.concatenate([[0.0], np.cumsum(gen.uniform(5e-4, 2e-3, n_steps))])
+    h = 0.3 + 0.2 * np.sin(7.0 * ts) ** 2
+    hb = np.stack([h, h + 0.05, np.full_like(h, 0.6)])
+    ids = range(7, 307)
+    tau, paths = reference_engine(ts, hb, 0.05, ids, 3, bridge)
+    w = absorbed._WINDOW
+    record_steps = [r for r in (0, w // 2 + 1, w, 2 * w, n_steps) if r <= n_steps]
+    for rows in (slice(None), 0):  # stacked and single boundaries
+        dropped = np.all(np.atleast_2d(tau[rows]) < np.inf, axis=0)
+        for record_step in record_steps:
+            out = absorbed._engine(ts, hb[rows], 0.05, ids, 3, bridge=bridge,
+                                   record_step=record_step)
+            assert np.array_equal(out["tau"], tau[rows])
+            assert np.array_equal(out["alive"], tau[rows] == np.inf)
+            for got, want in ((out["final"], paths[:, -1]), (out["rec"], paths[:, record_step])):
+                kept = ~np.isnan(got)  # NaN only for paths compaction dropped
+                assert np.all(kept | dropped)
+                assert np.array_equal(got[kept], want[kept])
+        assert np.isnan(out["final"]).any() == (n_steps > w)
+        full = absorbed._engine(ts, hb[rows], 0.05, ids, 3, bridge=bridge,
+                                record_step=w // 2 + 1, keep_paths=True)
+        assert np.array_equal(full["tau"], tau[rows])
+        assert np.array_equal(full["paths"], paths)
+        assert np.array_equal(full["final"], paths[:, -1])
+        assert np.array_equal(full["rec"], paths[:, w // 2 + 1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(j=st.integers(-3, 3), c=st.floats(0.3, 2.0), wobble=st.sampled_from([0.0, 0.3]),
+       x0=st.floats(-0.9, 0.9), bridge=st.booleans(), seed=st.integers(0, 2 ** 32))
+def test_engine_is_exactly_brownian_scaling_invariant(j, c, wobble, x0, bridge, seed):
+    # radius h at dt against 2^j h(t / 4^j) at 4^j dt from 2^j x0: powers of
+    # two scale exactly in floating point and sqrt(4^j dt) = 2^j sqrt(dt)
+    def h(t):
+        return c * (1.0 + wobble * np.sin(9.0 * t))
+
+    def h_scaled(t):
+        return 2.0 ** j * h(t / 4.0 ** j)
+
+    dt, steps = 2e-3, np.arange(151)
+    ts, ts_scaled = dt * steps, 4.0 ** j * dt * steps
+    a = absorbed._engine(ts, absorbed._boundary_nodes(h, ts), x0 * c, range(200),
+                         seed, bridge=bridge)
+    b = absorbed._engine(ts_scaled, absorbed._boundary_nodes(h_scaled, ts_scaled),
+                         2.0 ** j * x0 * c, range(200), seed, bridge=bridge)
+    assert np.array_equal(a["alive"], b["alive"])
+    assert np.array_equal(4.0 ** j * a["tau"], b["tau"])
+    assert np.array_equal(2.0 ** j * a["final"], b["final"], equal_nan=True)
+
+
+def test_survival_memory_does_not_grow_with_n_paths(monkeypatch):
+    # batches of 100 paths x 500 steps hold 0.8 MB of normals and uniforms;
+    # the window buffers on top of them must not scale with n_paths
+    pair = default_boundary_pair()
+    ts = _uniform_window(0.0, 0.5, 1e-3)
+    monkeypatch.setattr(absorbed, "_MAX_BATCH_ELEMS", 100 * (len(ts) - 1))
+    peaks = []
+    for n_paths in (400, 1600):
+        tracemalloc.start()
+        try:
+            survival_flags([pair.h, pair.g], 0.0, ts, seed=1, n_paths=n_paths)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.05
+    assert max(peaks) < 1.5
+
+
+def test_vector_donor_draw_consumes_the_stream_like_scalar_draws():
+    # Fleming-Viot draws all of a step's donors in one call
+    vector, scalar = make_generator(9, 2, 0), make_generator(9, 2, 0)
+    for n_survivors, n_abs in ((1, 3), (7, 5), (1999, 40), (2 ** 31 + 3, 6)):
+        drawn = vector.integers(n_survivors, size=n_abs)
+        assert drawn.tolist() == [int(scalar.integers(n_survivors)) for _ in range(n_abs)]
+    assert vector.random() == scalar.random()
 
 
 # -- Girsanov -----------------------------------------------------------------

@@ -239,6 +239,17 @@ def test_cli_ergodic_report_is_thread_count_invariant(tmp_path, monkeypatch):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("threads", ["-3", "0"])
+def test_cli_threads_override_is_validated(tmp_path, capsys, threads):
+    from pathlib import Path
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "ergodic_default.json"
+    out = tmp_path / "out"
+    assert main(["ergodic", "--config", str(cfg), "--out", str(out),
+                 "--threads", threads]) == 2
+    assert "threads" in capsys.readouterr().err
+    assert not (out / "manifest.jsonl").exists()
+
+
 def test_cli_minorization_nan_a_exit_2(tmp_path, capsys):
     doc = {"experiment": "minorization", "seed": 1,
            "params": {"a": math.nan, "b_minus": 1.0, "b_plus": 2.0}}
