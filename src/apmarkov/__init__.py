@@ -23,7 +23,6 @@ from .ou import (GaussianTransition, OUSpec, asymptotic_periodicity_report,
                  default_ou_spec, gaussian_tv, transition_params)
 from .paths import Observable
 from .rng import make_generator, substream_key
-from .timefns import (TimeFunction, TimeGrid, cumulative_integral, derivative,
-                      parse_time_function)
+from .timefns import TimeFunction, TimeGrid, derivative, parse_time_function
 
 __version__ = "0.1.0"

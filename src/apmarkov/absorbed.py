@@ -28,7 +28,7 @@ import numpy as np
 from .measures import Mesh, MeshMeasure, tv_distance
 from .paths import SimulationError
 from .rng import make_generator, rekey
-from .timefns import TimeFunction, const
+from .timefns import TimeFunction, const, simpson_profile
 
 __all__ = [
     "BoundaryPair",
@@ -343,17 +343,6 @@ def conditioned_endpoint_law(h, x0: float, dt: float, T: float, n_paths: int,
 # Girsanov reweighting onto the unit boundary
 # ---------------------------------------------------------------------------
 
-def _clock_increments(h: TimeFunction, ts: np.ndarray) -> np.ndarray:
-    """Per-step increments of the clock I(t) = int h^-2, Simpson per step."""
-    hm2 = const(1.0) / (h * h)
-    dts = np.diff(ts)
-    mids = ts[:-1] + 0.5 * dts
-    q0 = np.asarray(hm2(ts[:-1]), dtype=float)
-    qm = np.asarray(hm2(mids), dtype=float)
-    q1 = np.asarray(hm2(ts[1:]), dtype=float)
-    return dts * (q0 + 4.0 * qm + q1) / 6.0
-
-
 def girsanov_weight(times: np.ndarray, w: np.ndarray, h: TimeFunction) -> float:
     """Change-of-measure weight for one unit-boundary clock path.
 
@@ -400,7 +389,9 @@ def girsanov_survival_estimate(h: TimeFunction, x0: float, dt: float, T: float,
     hb = _boundary_nodes(h, ts)
     if abs(x0) >= hb[0]:
         raise ValueError(f"x0={x0} outside the open interval (-{hb[0]}, {hb[0]})")
-    clock = np.concatenate([[0.0], np.cumsum(_clock_increments(h, ts))])
+    # clock I(t) = int h^-2 on the window, from h^-2 sampled every dt/2
+    hm2 = const(1.0) / (h * h)
+    clock, _ = simpson_profile(hm2(t_start + 0.5 * dt * np.arange(2 * len(ts) - 1)), dt)
     ones = np.ones(len(ts))
     w0 = x0 / hb[0]
     total = 0.0

@@ -126,7 +126,12 @@ def _check_params(kind: str, params: dict) -> dict:
                 or any(not isinstance(v, (int, float)) or v <= 0 for v in tv)):
             raise ConfigError(f"{where}.t_values must be a non-empty list of positive times")
         _positive(params, where, "n_replicas", integer=True)
-        _positive(params, where, "dt")
+        dt = _positive(params, where, "dt")
+        for t in tv:  # the tolerance ergodic._checkpoint_steps applies
+            k = round(t / dt) if math.isfinite(t / dt) else 0
+            if k < 1 or abs(k * dt - t) > 1e-9 * max(1.0, t):
+                raise ConfigError(f"{where}.t_values: {t!r} is not a positive multiple "
+                                  f"of {where}.dt={dt!r}")
     elif kind == "drift":
         for key in ("t1", "C", "k_edge"):
             _positive(params, where, key)
@@ -145,6 +150,8 @@ def _check_params(kind: str, params: dict) -> dict:
         _positive(params, where, "n_particles", integer=True)
         _positive(params, where, "T")
         _positive(params, where, "dt")
+        if "n_bins" in params:
+            _positive(params, where, "n_bins", integer=True)
         if params.get("boundary", "h") not in ("h", "g"):
             raise ConfigError(f"{where}.boundary must be 'h' or 'g'")
     elif kind == "survival":

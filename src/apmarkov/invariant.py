@@ -126,38 +126,37 @@ def power_iteration_invariant(kernel_matrix: np.ndarray, mesh: Mesh,
     raise PowerIterationError(f"no convergence to {tol:.1e} within {max_iter} iterations")
 
 
+# outer Simpson panels over one period, and the Gauss-Hermite order of the
+# inner expectation, in limiting_value
+_N_S = 256
+_GH_ORDER = 64
+
+
 def _gauss_hermite(order: int) -> Tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.hermite.hermgauss(order)
     return nodes, weights / math.sqrt(math.pi)
 
 
-def limiting_value(spec: OUSpec, f: Observable | Callable[[np.ndarray], np.ndarray],
-                   origin: float = 0.0, n_s: int = 256, gh_order: int = 64) -> float:
+def limiting_value(spec: OUSpec, f: Observable | Callable[[np.ndarray], np.ndarray]) -> float:
     """Period-averaged limit of time averages under the periodic dynamics.
 
     Computes (1/gamma) int_0^gamma E[f] ds where the law at phase s is the
     skeleton invariant pushed through the partial period: Normal(0,
     a_s^2 sigma_inf^2 + sigma(0,s)^2) with a_s = exp(-int_0^s g).  The inner
-    expectation uses Gauss-Hermite quadrature of the given order, the outer
-    s-integral composite Simpson on n_s panels.  ``origin`` shifts the
-    quadrature window to [origin, origin + gamma] (multiples of gamma leave
-    the value unchanged).
+    expectation uses Gauss-Hermite quadrature of order _GH_ORDER, the outer
+    s-integral composite Simpson on _N_S panels.
     """
     _, var_inf = invariant_gaussian(spec)
-    # profile of Q_{0,s} over [0, origin + gamma] at half-panel resolution,
-    # then restricted to the quadrature window [origin, origin + gamma]
-    half_panel = spec.gamma / (2 * n_s)
-    n_prof = int(round((origin + spec.gamma) / half_panel))
-    _, a_vals, var_vals = drift_profile(spec.g, 0.0, origin + spec.gamma, n=n_prof)
-    take = np.arange(n_prof - 2 * n_s, n_prof + 1)
-    a_s = a_vals[take]
-    var_s = var_vals[take]
+    # profile of Q_{0,s} at every node and midpoint of the outer Simpson rule
+    _, a_s, var_s = drift_profile(spec.g, 0.0, spec.gamma, 2 * _N_S)
     total_var = np.exp(-2.0 * a_s) * var_inf + var_s
-    nodes, weights = _gauss_hermite(gh_order)
+    nodes, weights = _gauss_hermite(_GH_ORDER)
     x = math.sqrt(2.0) * np.sqrt(total_var)[:, None] * nodes[None, :]
     fn = f.fn if isinstance(f, Observable) else f
     vals = np.asarray(fn(x), dtype=float) @ weights
-    if vals.shape != (2 * n_s + 1,):
+    if vals.shape != (2 * _N_S + 1,):
         raise ValueError("observable must evaluate elementwise on arrays")
-    simpson = (vals[0:-2:2] + 4.0 * vals[1:-1:2] + vals[2::2]).sum() / (6.0 * n_s)
+    # a plain Simpson sum, not simpson_profile's running one, whose cumsum
+    # would change its bits
+    simpson = (vals[0:-2:2] + 4.0 * vals[1:-1:2] + vals[2::2]).sum() / (6.0 * _N_S)
     return float(simpson)

@@ -22,7 +22,7 @@ import numpy as np
 
 from scipy.special import ndtr  # standard normal CDF
 
-from .timefns import TimeFunction, TimeGrid, TimeFunctionError, cumulative_integral
+from .timefns import TimeFunction, TimeGrid, TimeFunctionError, simpson_profile
 
 __all__ = [
     "GaussianTransition",
@@ -78,16 +78,11 @@ def _row_params(drift: TimeFunction, starts: np.ndarray, length: float,
     if lam.ndim == 1:  # constant drift collapses to a scalar row
         lam = np.broadcast_to(lam, (starts.size, offs.size))
 
-    # cumulative A at panel nodes (even indexes), then at midpoints via the
-    # half-panel Newton-Cotes rule int_0^h f = h (5 f0 + 8 f1 - f2) / 12 with
-    # samples spaced h = delta / 2
-    inc = (delta / 6.0) * (lam[:, 0:-2:2] + 4.0 * lam[:, 1:-1:2] + lam[:, 2::2])
-    a_even = np.concatenate([np.zeros((starts.size, 1)), np.cumsum(inc, axis=1)], axis=1)
-    a_mid = a_even[:, :-1] + (delta / 24.0) * (
-        5.0 * lam[:, 0:-2:2] + 8.0 * lam[:, 1:-1:2] - lam[:, 2::2])
+    a_even, a_mid = simpson_profile(lam, delta)
     a_end = a_even[:, -1]
 
-    # sigma^2 = sum of Simpson panels of exp(-2 (A(end) - A(u)))
+    # sigma^2 = sum of Simpson panels of exp(-2 (A(end) - A(u))); a plain sum,
+    # not simpson_profile's running one, whose cumsum would change its bits
     e_even = np.exp(-2.0 * (a_end[:, None] - a_even))
     e_mid = np.exp(-2.0 * (a_end[:, None] - a_mid))
     var = (delta / 6.0) * np.sum(e_even[:, :-1] + 4.0 * e_mid + e_even[:, 1:], axis=1)
@@ -105,31 +100,36 @@ def transition_params(drift: TimeFunction, s: float, t: float) -> GaussianTransi
     return GaussianTransition(m=float(m[0]), sigma=float(sig[0]))
 
 
-def grid_transition_params(drift: TimeFunction, grid: TimeGrid,
-                           n_panels: int = _PANELS_PER_STEP) -> tuple[np.ndarray, np.ndarray]:
+def grid_transition_params(drift: TimeFunction, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     """Per-step (m_k, sigma_k) for every step of a uniform grid, vectorized."""
     starts = grid.t0 + grid.dt * np.arange(grid.n_steps)
-    return _row_params(drift, starts, grid.dt, n_panels)
+    return _row_params(drift, starts, grid.dt, _PANELS_PER_STEP)
 
 
 def drift_profile(drift: TimeFunction, a: float, b: float,
-                  n: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes u_i on [a, b] with A(u_i) = int_a^{u_i} drift and
-    sigma^2(a, u_i) of the transition over [a, u_i]."""
-    if n is None:
-        n = max(64, int(math.ceil((b - a) * _PANELS_PER_UNIT)))
+                  n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes u_i of n Simpson panels on [a, b] with A(u_i) = int_a^{u_i}
+    drift and sigma^2(a, u_i) of the transition over [a, u_i].
+
+    sigma^2 is built over blocks of nodes in which |A(v) - A(b)| <= 100 from
+    the block's first node b, so exp(2 [A(v) - A(b)]) cannot overflow; blocks
+    join by Chapman-Kolmogorov: sigma^2(a, u) = exp(-2 [A(u) - A(b)])
+    (sigma^2(a, b) + int_b^u exp(2 [A(v) - A(b)]) dv).
+    """
     delta = (b - a) / n
     lam = np.asarray(drift(a + 0.5 * delta * np.arange(2 * n + 1)), dtype=float)
-    inc = (delta / 6.0) * (lam[0:-2:2] + 4.0 * lam[1:-1:2] + lam[2::2])
-    a_nodes = np.concatenate([[0.0], np.cumsum(inc)])
-    a_mid = a_nodes[:-1] + (delta / 24.0) * (5.0 * lam[0:-2:2] + 8.0 * lam[1:-1:2] - lam[2::2])
+    a_nodes, a_mid = simpson_profile(lam, delta)
     a_all = np.empty(2 * n + 1)
     a_all[0::2] = a_nodes
     a_all[1::2] = a_mid
-    e = np.exp(2.0 * a_all)
-    w_inc = (delta / 6.0) * (e[0:-2:2] + 4.0 * e[1:-1:2] + e[2::2])
-    w_nodes = np.concatenate([[0.0], np.cumsum(w_inc)])
-    var = np.exp(-2.0 * a_nodes) * w_nodes
+    span = np.abs(lam).max() * delta  # bound on |A| growth per panel
+    per_block = max(1, int(100.0 / span)) if span > 0.0 else n
+    var = np.zeros(n + 1)
+    for i0 in range(0, n, per_block):
+        i1 = min(i0 + per_block, n)
+        rel = a_all[2 * i0:2 * i1 + 1] - a_nodes[i0]
+        weight, _ = simpson_profile(np.exp(2.0 * rel), delta)
+        var[i0:i1 + 1] = np.exp(-2.0 * rel[0::2]) * (var[i0] + weight)
     return a + delta * np.arange(n + 1), a_nodes, var
 
 
@@ -171,8 +171,8 @@ class OUSpec:
             horizon = 40.0 * self.gamma
         per_window = 64
         n = int(round(horizon / self.gamma)) * per_window + per_window
-        grid = TimeGrid(t0=0.0, dt=self.gamma / per_window, n_steps=n)
-        big_lambda = cumulative_integral(self.lam, 0.0, grid)
+        delta = self.gamma / per_window
+        big_lambda, _ = simpson_profile(self.lam(0.5 * delta * np.arange(2 * n + 1)), delta)
         window = big_lambda[per_window:] - big_lambda[:-per_window]
         return float(window.min() / self.gamma)
 

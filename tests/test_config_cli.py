@@ -267,6 +267,38 @@ def test_cli_bad_k_list_exit_2(tmp_path, capsys):
                  "--k-list", "0,x"]) == 2
 
 
+def test_cli_ergodic_t_values_off_dt_grid_exit_2(tmp_path, capsys):
+    cfg = write(tmp_path, ergodic_doc(t_values=[1.0, 1.005], dt=0.01))
+    assert main(["ergodic", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "params.t_values" in capsys.readouterr().err
+
+
+def test_cli_qsd_zero_bins_exit_2(tmp_path, capsys):
+    doc = {"experiment": "qsd", "seed": 3, "model": BOUNDARY_MODEL,
+           "params": {"n_particles": 10, "T": 0.1, "dt": 0.01, "n_bins": 0}}
+    cfg = write(tmp_path, doc)
+    assert main(["qsd", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "params.n_bins" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_ergodic_long_period_limit_is_finite(tmp_path):
+    # gamma = 400 puts exp(800) inside the limit's profile; it must not overflow
+    model = {"kind": "ou", "lambda": {"expr": "1", "lower": 1.0, "upper": 1.0},
+             "g": {"expr": "1", "lower": 1.0, "upper": 1.0, "period": 400.0},
+             "gamma": 400.0}
+    doc = {"experiment": "ergodic", "seed": 7, "model": model,
+           "params": {"observable": "x2", "t_values": [1.0, 2.0], "n_replicas": 4,
+                      "dt": 0.01}}
+    cfg = write(tmp_path, doc)
+    assert main(["ergodic", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "report.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert all(math.isfinite(float(row.split(",")[2])) for row in rows)
+    limit = json.loads((tmp_path / "summary.json").read_text())["limit"]
+    assert abs(limit - 0.5) <= 5e-3
+
+
 def test_cli_qsd_emits_normalized_occupation(tmp_path):
     doc = {"experiment": "qsd", "seed": 3, "model": BOUNDARY_MODEL,
            "params": {"n_particles": 100, "T": 2.0, "dt": 0.002, "n_bins": 20}}

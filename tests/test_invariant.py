@@ -10,7 +10,7 @@ from apmarkov.invariant import (ContractionError, PowerIterationError, SkeletonM
                                 skeleton_fixed_point_variance,
                                 skeleton_kernel_matrix)
 from apmarkov.measures import Mesh, MeshMeasure
-from apmarkov.ou import OUSpec, default_ou_spec, transition_params
+from apmarkov.ou import OUSpec, default_ou_spec, drift_profile, transition_params
 from apmarkov.paths import Observable
 from apmarkov.timefns import const
 
@@ -140,11 +140,23 @@ def test_limiting_value_odd_observable_vanishes():
     assert limiting_value(unit_g_spec(), X) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_limiting_value_shift_invariance():
+def test_limiting_value_period_return():
+    # one full period of the phase law returns to the skeleton invariant:
+    # the profile limiting_value integrates is gamma-periodic
     spec = default_ou_spec()
-    base = limiting_value(spec, X2)
-    shifted = limiting_value(spec, X2, origin=spec.gamma)
-    assert abs(base - shifted) <= 1e-8
+    _, var_inf = invariant_gaussian(spec)
+    _, a, var = drift_profile(spec.g, 0.0, spec.gamma, 512)
+    assert abs(math.exp(-2.0 * a[-1]) * var_inf + var[-1] - var_inf) <= 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+def test_limiting_value_long_period_is_finite():
+    # exp(2 A) over one period is exp(800) here; the profile must not form it
+    one = const(1.0, lower=1.0, upper=1.0)
+    spec = OUSpec(lam=one, g=const(1.0, lower=1.0, upper=1.0, period=400.0), gamma=400.0)
+    value = limiting_value(spec, X2)
+    assert math.isfinite(value)
+    assert abs(value - 0.5) <= 5e-3
 
 
 def test_limiting_value_accepts_plain_callable():

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apmarkov.ou import (GaussianTransition, OUSpec, asymptotic_periodicity_report,
-                         default_ou_spec, gaussian_tv, grid_transition_params,
-                         transition_params)
+                         default_ou_spec, drift_profile, gaussian_tv,
+                         grid_transition_params, transition_params)
 from apmarkov.timefns import TimeGrid, const, parse_time_function
 
 from oracles import gaussian_tv_exact, ou_constant_variance
@@ -43,16 +44,29 @@ def test_constant_drift_exactness_property():
         assert tr.sigma ** 2 == pytest.approx(ou_constant_variance(lam0, dt), rel=1e-9)
 
 
-def test_chapman_kolmogorov_composition():
-    spec = default_ou_spec()
-    for _ in range(100):
-        s, u, t = np.sort(RNG.uniform(0.0, 3.0, 3))
-        first = transition_params(spec.lam, s, u)
-        second = transition_params(spec.lam, u, t)
-        whole = transition_params(spec.lam, s, t)
-        comp = first.compose(second)
-        assert comp.m == pytest.approx(whole.m, rel=1e-9)
-        assert comp.sigma ** 2 == pytest.approx(whole.sigma ** 2, rel=1e-9, abs=1e-15)
+@settings(max_examples=300, deadline=None)
+@given(times=st.lists(st.floats(0.0, 10.0), min_size=3, max_size=3).map(sorted),
+       use_auxiliary=st.booleans())
+def test_chapman_kolmogorov_composition(times, use_auxiliary):
+    s, u, t = times
+    drift = default_ou_spec().drift(use_auxiliary)
+    comp = transition_params(drift, s, u).compose(transition_params(drift, u, t))
+    whole = transition_params(drift, s, t)
+    assert comp.m == pytest.approx(whole.m, rel=1e-9)
+    assert comp.sigma ** 2 == pytest.approx(whole.sigma ** 2, rel=1e-9, abs=1e-15)
+
+
+def test_drift_profile_matches_transition_params_over_many_blocks():
+    # 1001 periods span ~15 blocks of the profile's variance weight; the
+    # Chapman-Kolmogorov join between blocks must not lose accuracy
+    g = default_ou_spec().g
+    u, a, var = drift_profile(g, 0.0, 1001.0, 1001 * 384)
+    for periods in (1, 500, 1001):
+        i = periods * 384
+        tr = transition_params(g, 0.0, float(periods))
+        assert u[i] == pytest.approx(periods, rel=1e-12)
+        assert math.exp(-a[i]) == pytest.approx(tr.m, rel=1e-10)
+        assert var[i] == pytest.approx(tr.sigma ** 2, rel=1e-10)
 
 
 def test_auxiliary_transitions_are_periodic():

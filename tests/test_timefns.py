@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from apmarkov.timefns import (TimeFunctionError, TimeGrid, const,
-                              cumulative_integral, derivative, parse_time_function)
+from apmarkov.timefns import (TimeFunctionError, TimeGrid, const, derivative,
+                              parse_time_function, simpson_profile)
 
 RNG = np.random.default_rng(2024)
 
@@ -88,46 +88,79 @@ def test_derivatives_match_central_differences(text, _):
 
 # -- cumulative integrals ----------------------------------------------------
 
+def half_panel_samples(f, a, delta, n):
+    """f at the 2n+1 points a, a + delta/2, ..., a + n delta."""
+    return f(a + 0.5 * delta * np.arange(2 * n + 1))
+
+
 def test_cumulative_constant_is_linear():
     grid = TimeGrid(t0=0.0, dt=0.1, n_steps=20)
-    out = cumulative_integral(const(1.0), 0.0, grid)
-    np.testing.assert_allclose(out, grid.times(), rtol=0, atol=1e-14)
+    nodes, mids = simpson_profile(half_panel_samples(const(1.0), 0.0, 0.1, 20), 0.1)
+    np.testing.assert_allclose(nodes, grid.times(), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(mids, grid.times()[:-1] + 0.05, rtol=0, atol=1e-14)
+
+
+def test_simpson_profile_exact_for_cubic_nodes_and_quadratic_mids():
+    a, delta, n = 0.25, 0.125, 16
+    cubic = parse_time_function("1 - 2*t + 3*t^2 - 4*t^3")
+    nodes, _ = simpson_profile(half_panel_samples(cubic, a, delta, n), delta)
+
+    def cubic_anti(t):
+        return t - t ** 2 + t ** 3 - t ** 4
+
+    u = a + delta * np.arange(n + 1)
+    np.testing.assert_allclose(nodes, cubic_anti(u) - cubic_anti(a), rtol=0, atol=1e-13)
+
+    quad = parse_time_function("2 - t + 6*t^2")
+    nodes, mids = simpson_profile(half_panel_samples(quad, a, delta, n), delta)
+
+    def quad_anti(t):
+        return 2 * t - t ** 2 / 2 + 2 * t ** 3
+
+    um = u[:-1] + 0.5 * delta
+    np.testing.assert_allclose(mids, quad_anti(um) - quad_anti(a), rtol=0, atol=1e-13)
+
+
+def test_simpson_profile_rows_match_one_dimensional_calls():
+    f = parse_time_function("1 + 0.5*sin(2*pi*t) + 0.3*exp(-0.7*t)")
+    delta, n = 0.01, 40
+    starts = np.array([0.0, 0.37, 2.5, 11.0])
+    rows = f(starts[:, None] + 0.5 * delta * np.arange(2 * n + 1)[None, :])
+    nodes, mids = simpson_profile(rows, delta)
+    assert nodes.shape == (4, n + 1) and mids.shape == (4, n)
+    for i, row in enumerate(rows):
+        row_nodes, row_mids = simpson_profile(row, delta)
+        np.testing.assert_array_equal(nodes[i], row_nodes)
+        np.testing.assert_array_equal(mids[i], row_mids)
 
 
 def test_cumulative_clock_constant_boundaries():
     grid = TimeGrid(t0=0.0, dt=0.05, n_steps=40)
     h1 = const(1.0)
-    clock = cumulative_integral(const(1.0) / (h1 * h1), 0.0, grid)
+    clock, _ = simpson_profile(half_panel_samples(const(1.0) / (h1 * h1), 0.0, 0.05, 40), 0.05)
     np.testing.assert_allclose(clock, grid.times(), atol=1e-14)
     h2 = const(2.0)
-    clock2 = cumulative_integral(const(1.0) / (h2 * h2), 0.0, grid)
+    clock2, _ = simpson_profile(half_panel_samples(const(1.0) / (h2 * h2), 0.0, 0.05, 40), 0.05)
     np.testing.assert_allclose(clock2, grid.times() / 4.0, atol=1e-14)
 
 
 def test_cumulative_endpoint_matches_integrate():
     f = parse_time_function("1 + 0.5*sin(2*pi*t) + 0.3*exp(-0.7*t)")
-    grid = TimeGrid(t0=0.5, dt=0.01, n_steps=250)
-    out = cumulative_integral(f, 0.5, grid)
+    nodes, mids = simpson_profile(half_panel_samples(f, 0.5, 0.01, 250), 0.01)
 
     def anti(t):  # closed-form antiderivative of f
-        return t - math.cos(2 * math.pi * t) / (4 * math.pi) - (0.3 / 0.7) * math.exp(-0.7 * t)
+        return t - np.cos(2 * np.pi * t) / (4 * np.pi) - (0.3 / 0.7) * np.exp(-0.7 * t)
 
-    ref = anti(grid.t_end) - anti(0.5)
-    tol = 1e-10
-    assert abs(out[-1] - ref) <= 10 * tol + 1e-11
+    u = 0.5 + 0.01 * np.arange(251)
+    np.testing.assert_allclose(nodes, anti(u) - anti(0.5), rtol=0, atol=1e-9 + 1e-11)
+    # the half-panel midpoint rule is exact for quadratics only: one order less
+    np.testing.assert_allclose(mids, anti(u[:-1] + 0.005) - anti(0.5), rtol=0, atol=5e-9)
 
 
 def test_cumulative_monotone_for_nonnegative():
     f = parse_time_function("cos(t)^2")
-    grid = TimeGrid(t0=0.0, dt=0.02, n_steps=300)
-    out = cumulative_integral(f, 0.0, grid)
-    assert np.all(np.diff(out) >= -1e-15)
-
-
-def test_cumulative_requires_matching_start():
-    grid = TimeGrid(t0=1.0, dt=0.1, n_steps=5)
-    with pytest.raises(TimeFunctionError):
-        cumulative_integral(const(1.0), 0.0, grid)
+    nodes, _ = simpson_profile(half_panel_samples(f, 0.0, 0.02, 300), 0.02)
+    assert np.all(np.diff(nodes) >= -1e-15)
 
 
 def test_grid_validation():
