@@ -8,7 +8,7 @@ from .absorbed import (BoundaryPair, FVResult, OccupationMeasure, ParticleSystem
                        boundary_convergence_report, conditional_minorization_estimate,
                        conditioned_endpoint_law, default_boundary_pair, fleming_viot,
                        girsanov_survival_estimate, girsanov_weight, q_process_approx,
-                       qed_comparison, simulate_absorbed, survival_probability)
+                       qed_comparison, survival_probability)
 from .certificates import (DoeblinReport, DriftCertificate, GaussianKernel,
                            MinorizationCertificate, check_drift, check_growth,
                            contraction_rate_fit, doeblin_from_minorization,

@@ -36,7 +36,6 @@ __all__ = [
     "OccupationMeasure",
     "SurvivalEstimate",
     "default_boundary_pair",
-    "simulate_absorbed",
     "survival_probability",
     "survival_flags",
     "conditioned_endpoint_law",
@@ -162,23 +161,22 @@ def _bridge_step(x, xn, h0, h1, dt, u) -> np.ndarray:
 
 
 def _engine(ts: np.ndarray, hb: np.ndarray, x0: float, ids: range, seed: int,
-            bridge: bool = True, record_step: Optional[int] = None,
-            keep_paths: bool = False) -> Dict[str, np.ndarray]:
+            bridge: bool = True, at: Sequence[int] = ()) -> Dict[str, np.ndarray]:
     """Simulate one batch of absorbed paths on node times ts against one
     boundary (hb of shape (n_steps+1,)) or a stack of boundaries (shape
     (n_boundaries, n_steps+1)), all from a single noise pass.  Path i draws
     from substream (seed, ids[i]).
 
     Returns tau (+inf where the path survives the whole window) and alive,
-    one row per stacked boundary; optionally the states at ``record_step``
-    and the whole paths.  The path state is shared by all boundaries and the
-    noise is drawn for every path before stepping, so noise consumption never
-    depends on the boundary (this is what makes common-random-number boundary
-    comparisons exact).
+    one row per stacked boundary, and states, of shape (n_paths, len(at)):
+    the path states at the step indexes in ``at``.  The path state is shared
+    by all boundaries and the noise is drawn for every path before stepping,
+    so noise consumption never depends on the boundary (this is what makes
+    common-random-number boundary comparisons exact).
 
-    Without ``keep_paths`` only the paths alive under some boundary are
-    stepped: the working set is compacted between windows of steps, and
-    ``final`` and ``rec`` are NaN for the paths it has dropped.
+    Only the paths alive under some boundary are stepped: the working set is
+    compacted between windows of steps, and states are NaN for the paths it
+    has dropped.
     """
     hb = np.asarray(hb, dtype=float)
     stacked = hb.ndim == 2
@@ -198,17 +196,17 @@ def _engine(ts: np.ndarray, hb: np.ndarray, x0: float, ids: range, seed: int,
     x = np.full(n, float(x0))
     alive = np.ones((len(hb), n), dtype=bool)
     tau = np.full((len(hb), n), np.inf)
-    rec = np.full(n, float(x0) if record_step == 0 else np.nan)
-    paths = np.full((n, n_steps + 1), float(x0)) if keep_paths else None
+    at = np.asarray(at, dtype=int)
+    states = np.full((n, len(at)), np.nan)
+    states[:, at == 0] = x0
     dts = np.diff(ts)
     for k0 in range(0, n_steps, _WINDOW):
         k1 = min(k0 + _WINDOW, n_steps)
-        if not keep_paths:
-            live = alive.any(axis=0)
-            if not live.all():
-                rows, x, alive = rows[live], x[live], alive[:, live]
-                if rows.size == 0:
-                    break
+        live = alive.any(axis=0)
+        if not live.all():
+            rows, x, alive = rows[live], x[live], alive[:, live]
+            if rows.size == 0:
+                break
         # the window's states, step-major: X[j] = x + sum of the first j
         # increments, added in step order, as a step-by-step loop adds them
         dt_w = dts[k0:k1, None]
@@ -230,20 +228,12 @@ def _engine(ts: np.ndarray, hb: np.ndarray, x0: float, ids: range, seed: int,
                                        ts[k0 + j] + 0.5 * dts[k0 + j])
             alive[b, i] = False
         x = X[-1]
-        if record_step is not None and k0 < record_step <= k1:
-            rec[rows] = X[record_step - k0]
-        if keep_paths:
-            paths[:, k0 + 1:k1 + 1] = X[1:].T
-    final = np.full(n, np.nan)
-    final[rows] = x
+        cols = np.nonzero((at > k0) & (at <= k1))[0]
+        if cols.size:
+            states[rows[:, None], cols] = X[at[cols] - k0].T
     if not stacked:
         tau = tau[0]
-    out = {"tau": tau, "alive": tau == np.inf, "final": final}
-    if record_step is not None:
-        out["rec"] = rec
-    if paths is not None:
-        out["paths"] = paths
-    return out
+    return {"tau": tau, "alive": tau == np.inf, "states": states}
 
 
 def _batches(n_paths: int, n_steps: int) -> List[range]:
@@ -260,26 +250,24 @@ def _boundary_nodes(h, ts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _uniform_window(t_start: float, T: float, dt: float) -> np.ndarray:
+def _steps(T: float, dt: float, name: str) -> int:
+    """Number of dt steps in a span T, which must be a multiple of dt."""
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError(f"window length T={T} is not a multiple of dt={dt}")
+        raise ValueError(f"{name}={T} is not a multiple of dt={dt}")
+    return n_steps
+
+
+def _uniform_window(t_start: float, T: float, dt: float) -> np.ndarray:
+    n_steps = _steps(T, dt, "window length T")
     if n_steps < 1:
         raise ValueError("window must contain at least one step")
     return t_start + dt * np.arange(n_steps + 1)
 
 
-def simulate_absorbed(h, x0: float, dt: float, T: float, seed: int,
-                      bridge: bool = True, t_start: float = 0.0
-                      ) -> Tuple[np.ndarray, Optional[float]]:
-    """One absorbed path on [t_start, t_start+T]; returns (path, tau or None)."""
-    ts = _uniform_window(t_start, T, dt)
-    hb = _boundary_nodes(h, ts)
-    if abs(x0) >= hb[0]:
-        raise ValueError(f"x0={x0} outside the open interval (-{hb[0]}, {hb[0]})")
-    out = _engine(ts, hb, x0, range(1), seed, bridge=bridge, keep_paths=True)
-    tau = float(out["tau"][0])
-    return out["paths"][0], (None if math.isinf(tau) else tau)
+def _check_start(x0: float, h0: float) -> None:
+    if abs(x0) >= h0:
+        raise ValueError(f"x0={x0} outside the open interval (-{h0}, {h0})")
 
 
 @dataclass(frozen=True)
@@ -299,9 +287,7 @@ def survival_flags(h, x0: float, ts: np.ndarray, seed: int, n_paths: int,
     """
     stacked = isinstance(h, (list, tuple))
     hb = np.stack([_boundary_nodes(b, ts) for b in h]) if stacked else _boundary_nodes(h, ts)
-    h_start = float(np.min(hb[..., 0]))
-    if abs(x0) >= h_start:
-        raise ValueError(f"x0={x0} outside the open interval (-{h_start}, {h_start})")
+    _check_start(x0, float(np.min(hb[..., 0])))
     flags = np.empty(hb.shape[:-1] + (n_paths,), dtype=bool)
     for ids in _batches(n_paths, len(ts) - 1):
         flags[..., ids.start:ids.stop] = _engine(ts, hb, x0, ids, seed, bridge=bridge)["alive"]
@@ -323,20 +309,10 @@ def conditioned_endpoint_law(h, x0: float, dt: float, T: float, n_paths: int,
                              seed: int, mesh: Mesh, bridge: bool = True,
                              t_start: float = 0.0) -> Tuple[MeshMeasure, int]:
     """Histogram of X_{t_start+T} over surviving paths, with survivor count."""
-    ts = _uniform_window(t_start, T, dt)
-    hb = _boundary_nodes(h, ts)
-    if abs(x0) >= hb[0]:
-        raise ValueError(f"x0={x0} outside the open interval (-{hb[0]}, {hb[0]})")
-    counts = np.zeros(mesh.n_cells)
-    n_surv = 0
-    for ids in _batches(n_paths, len(ts) - 1):
-        out = _engine(ts, hb, x0, ids, seed, bridge=bridge)
-        pts = out["final"][out["alive"]]
-        counts += np.bincount(mesh.cell_index(pts), minlength=mesh.n_cells)
-        n_surv += int(out["alive"].sum())
-    if n_surv == 0:
-        raise SimulationError("no surviving paths; enlarge n_paths or shorten T")
-    return MeshMeasure.from_unnormalized(mesh, counts), n_surv
+    t_end = t_start + T
+    res = q_process_approx(h, t_start, x0, t_end, [t_end], n_paths, seed, mesh,
+                           dt=dt, bridge=bridge)
+    return res.laws[0], res.n_survivors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +363,7 @@ def girsanov_survival_estimate(h: TimeFunction, x0: float, dt: float, T: float,
     """
     ts = _uniform_window(t_start, T, dt)
     hb = _boundary_nodes(h, ts)
-    if abs(x0) >= hb[0]:
-        raise ValueError(f"x0={x0} outside the open interval (-{hb[0]}, {hb[0]})")
+    _check_start(x0, hb[0])
     # clock I(t) = int h^-2 on the window, from h^-2 sampled every dt/2
     hm2 = const(1.0) / (h * h)
     clock, _ = simpson_profile(hm2(t_start + 0.5 * dt * np.arange(2 * len(ts) - 1)), dt)
@@ -397,8 +372,9 @@ def girsanov_survival_estimate(h: TimeFunction, x0: float, dt: float, T: float,
     total = 0.0
     total_sq = 0.0
     for ids in _batches(n_paths, len(ts) - 1):
-        out = _engine(clock, ones, w0, ids, seed, bridge=bridge, keep_paths=True)
-        vals = np.where(out["alive"], _weights_matrix(ts, out["paths"], h), 0.0)
+        out = _engine(clock, ones, w0, ids, seed, bridge=bridge, at=range(len(ts)))
+        vals = np.zeros(len(ids))  # only the survivors carry a weight
+        vals[out["alive"]] = _weights_matrix(ts, out["states"][out["alive"]], h)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
     p = total / n_paths
@@ -479,8 +455,7 @@ def fleming_viot(h, n_particles: int, dt: float, T: float, seed: int,
             raise ValueError(f"unknown initial spec {x0!r}")
         pos = make_generator(seed, 1).uniform(-hb[0], hb[0], size=n_particles)
     else:
-        if abs(float(x0)) >= hb[0]:
-            raise ValueError(f"x0={x0} outside the open interval (-{hb[0]}, {hb[0]})")
+        _check_start(float(x0), hb[0])
         pos = np.full(n_particles, float(x0))
 
     hist = np.zeros((n_particles, mesh.n_cells))
@@ -538,9 +513,6 @@ class QProcessResult:
     stabilization: Tuple[float, ...]  # TV between consecutive horizons
     flagged: Tuple[float, ...]  # horizons with fewer than 100 survivors
 
-    def law_at(self, horizon: float) -> MeshMeasure:
-        return self.laws[self.horizons.index(horizon)]
-
 
 def q_process_approx(h, s: float, x: float, t: float, horizons: Sequence[float],
                      n_paths: int, seed: int, mesh: Mesh, dt: float = 1e-3,
@@ -557,18 +529,17 @@ def q_process_approx(h, s: float, x: float, t: float, horizons: Sequence[float],
                          f"min horizon {horizons[0]}")
     ts = _uniform_window(s, horizons[-1] - s, dt)
     hb = _boundary_nodes(h, ts)
-    if abs(x) >= hb[0]:
-        raise ValueError(f"x={x} outside the open interval (-{hb[0]}, {hb[0]})")
-    rec_step = int(round((t - s) / dt))
+    _check_start(x, hb[0])
+    rec_step = _steps(t - s, dt, "t - s")
+    ends = [_steps(v - s, dt, "horizon - s") for v in horizons]
     counts = np.zeros((len(horizons), mesh.n_cells))
     n_surv = np.zeros(len(horizons), dtype=int)
     for ids in _batches(n_paths, len(ts) - 1):
-        out = _engine(ts, hb, x, ids, seed, bridge=bridge, record_step=rec_step)
-        states = out["rec"]
-        for j, horizon in enumerate(horizons):
-            alive = out["tau"] > horizon - 1e-12
-            pts = states[alive]
-            counts[j] += np.bincount(mesh.cell_index(pts), minlength=mesh.n_cells)
+        out = _engine(ts, hb, x, ids, seed, bridge=bridge, at=(rec_step,))
+        for j, end in enumerate(ends):
+            alive = out["tau"] > ts[end]  # absorbed at the horizon's node is dead
+            counts[j] += np.bincount(mesh.cell_index(out["states"][alive, 0]),
+                                     minlength=mesh.n_cells)
             n_surv[j] += int(alive.sum())
     laws = []
     flagged = []
@@ -663,15 +634,16 @@ def boundary_convergence_report(pair: BoundaryPair, s: float, t: float, x: float
     """
     if t < s:
         raise ValueError(f"need s <= t, got s={s}, t={t}")
+    if t == s or len(k_values) == 0:
+        return [SurvivalGapRow(k=int(k), gap=0.0, stderr=0.0, sandwich_prob=0.0)
+                for k in k_values]
+    # every k on the k = 0 clock: row k's boundaries are u -> b(u + k gamma)
+    ts = _uniform_window(s, t - s, dt)
+    shifted = [lambda u, b=b, k=k: b(u + k * pair.gamma)
+               for k in k_values for b in (pair.h, pair.g)]
+    flags = survival_flags(shifted, x, ts, seed, n_paths, bridge=bridge)
     rows = []
-    for k in k_values:
-        start = s + k * pair.gamma
-        if t == s:
-            rows.append(SurvivalGapRow(k=int(k), gap=0.0, stderr=0.0, sandwich_prob=0.0))
-            continue
-        ts = _uniform_window(start, t - s, dt)
-        flags_h, flags_g = survival_flags([pair.h, pair.g], x, ts, seed, n_paths,
-                                          bridge=bridge)
+    for k, flags_h, flags_g in zip(k_values, flags[0::2], flags[1::2]):
         diff = flags_g.astype(float) - flags_h.astype(float)
         gap = abs(float(flags_h.mean() - flags_g.mean()))
         sandwich = float((flags_g & ~flags_h).mean())

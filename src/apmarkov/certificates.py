@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import ndtr
 
-from .invariant import gaussian_kernel_matrix
+from .invariant import _GH_ORDER, _gauss_hermite, gaussian_kernel_matrix
 from .measures import Mesh, MeshMeasure, psi_distance
 from .ou import GaussianTransition, transition_params
 from .timefns import TimeFunction
@@ -54,11 +54,11 @@ class GaussianKernel:
     mesh-propagation helpers used by the certificate checks.
     """
 
-    def __init__(self, drift: TimeFunction, gh_order: int = 64):
+    def __init__(self, drift: TimeFunction):
         self.drift = drift
         self._cache: dict = {}
-        nodes, weights = np.polynomial.hermite.hermgauss(gh_order)
-        self._gh = (nodes * math.sqrt(2.0), weights / math.sqrt(math.pi))
+        nodes, weights = _gauss_hermite(_GH_ORDER)
+        self._gh = (nodes * math.sqrt(2.0), weights)
 
     def params(self, s: float, t: float) -> GaussianTransition:
         key = (s, t)
@@ -71,7 +71,7 @@ class GaussianKernel:
     def apply(self, s: float, t: float, f: Callable[[np.ndarray], np.ndarray],
               x) -> np.ndarray:
         """(P_{s,t} f)(x) by Gauss-Hermite quadrature (exact for polynomials
-        of degree < 2 * gh_order)."""
+        of degree < 2 * _GH_ORDER)."""
         tr = self.params(s, t)
         x = np.asarray(x, dtype=float)
         nodes, weights = self._gh

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
@@ -51,17 +52,41 @@ def _require_keys(obj: dict, where: str, required: tuple, optional: tuple = ()):
         raise ConfigError(f"{where}: missing keys {missing}")
 
 
-def _positive(obj: dict, where: str, key: str, integer: bool = False) -> float:
-    v = obj[key]
-    if integer and not isinstance(v, int):
-        raise ConfigError(f"{where}.{key} must be a positive integer, got {v!r}")
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not v > 0:
+def _number(v: Any, name: str, integer: bool = False):
+    """v itself if it is a finite number (an integer if asked for)."""
+    kind = "an integer" if integer else "a number"
+    if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
+        raise ConfigError(f"{name} must be {kind}, got {v!r}")
+    if not abs(v) <= sys.float_info.max:  # NaN, inf, or an integer too large for a float
+        raise ConfigError(f"{name} must be a finite number, got {v!r}")
+    return v
+
+
+def _numbers(obj: dict, where: str, keys: tuple) -> None:
+    for key in keys:
+        if key in obj:
+            _number(obj[key], f"{where}.{key}")
+
+
+def _positive(obj: dict, where: str, key: str, integer: bool = False):
+    v = _number(obj[key], f"{where}.{key}", integer)
+    if not v > 0:
         raise ConfigError(f"{where}.{key} must be > 0, got {v!r}")
     return v
 
 
+def _k_values(params: dict, where: str) -> None:
+    ks = params["k_values"]
+    if (not isinstance(ks, list)
+            or any(_number(k, f"{where}.k_values", integer=True) < 0 for k in ks)):
+        raise ConfigError(f"{where}.k_values must be a list of non-negative integers")
+
+
 def _parse_timefn(obj: Any, where: str) -> TimeFunction:
     _require_keys(obj, where, ("expr",), ("lower", "upper", "period"))
+    _numbers(obj, where, ("lower", "upper"))
+    if obj.get("period") is not None:  # null declares no period
+        _number(obj["period"], f"{where}.period")
     try:
         return parse_time_function(
             obj["expr"],
@@ -92,7 +117,8 @@ def _parse_model(obj: Any):
         pair = BoundaryPair(h=_parse_timefn(obj["h"], "model.h"),
                             g=_parse_timefn(obj["g"], "model.g"),
                             gamma=_positive(obj, "model", "gamma"),
-                            n0=int(obj.get("n0", 1)))
+                            n0=_positive(obj, "model", "n0", integer=True)
+                            if "n0" in obj else 1)
         try:
             pair.validate()
         except ValueError as exc:
@@ -123,7 +149,7 @@ def _check_params(kind: str, params: dict) -> dict:
                               f"{sorted(OBSERVABLES)}, got {params['observable']!r}")
         tv = params["t_values"]
         if (not isinstance(tv, list) or not tv
-                or any(not isinstance(v, (int, float)) or v <= 0 for v in tv)):
+                or any(not _number(v, f"{where}.t_values") > 0 for v in tv)):
             raise ConfigError(f"{where}.t_values must be a non-empty list of positive times")
         _positive(params, where, "n_replicas", integer=True)
         dt = _positive(params, where, "dt")
@@ -135,48 +161,55 @@ def _check_params(kind: str, params: dict) -> dict:
     elif kind == "drift":
         for key in ("t1", "C", "k_edge"):
             _positive(params, where, key)
-        if not (0.0 < params["theta"] < 1.0):
+        if not (0.0 < _number(params["theta"], f"{where}.theta") < 1.0):
             raise ConfigError(f"{where}.theta must lie in (0,1), got {params['theta']!r}")
-        if not isinstance(params["s"], (int, float)) or params["s"] < 0:
+        if _number(params["s"], f"{where}.s") < 0:
             raise ConfigError(f"{where}.s must be >= 0, got {params['s']!r}")
     elif kind == "minorization":
-        if not isinstance(params["a"], (int, float)) or not params["a"] >= 0:
+        if not _number(params["a"], f"{where}.a") >= 0:
             raise ConfigError(f"{where}.a must be >= 0, got {params['a']!r}")
         _positive(params, where, "b_minus")
         _positive(params, where, "b_plus")
         if params["b_minus"] > params["b_plus"]:
             raise ConfigError(f"{where}: need b_minus <= b_plus")
+        if "n_members" in params:
+            _positive(params, where, "n_members", integer=True)
     elif kind == "qsd":
         _positive(params, where, "n_particles", integer=True)
         _positive(params, where, "T")
         _positive(params, where, "dt")
         if "n_bins" in params:
             _positive(params, where, "n_bins", integer=True)
+        _numbers(params, where, ("burn_in",))
         if params.get("boundary", "h") not in ("h", "g"):
             raise ConfigError(f"{where}.boundary must be 'h' or 'g'")
     elif kind == "survival":
         _positive(params, where, "n_paths", integer=True)
         _positive(params, where, "dt")
-        ks = params["k_values"]
-        if not isinstance(ks, list) or any(not isinstance(k, int) or k < 0 for k in ks):
-            raise ConfigError(f"{where}.k_values must be a list of non-negative integers")
+        _numbers(params, where, ("s", "t", "x"))
+        _k_values(params, where)
     elif kind == "asymptotic-periodicity":
         _positive(params, where, "n", integer=True)
-        ks = params["k_values"]
-        if not isinstance(ks, list) or any(not isinstance(k, int) or k < 0 for k in ks):
-            raise ConfigError(f"{where}.k_values must be a list of non-negative integers")
+        _numbers(params, where, ("s", "probe_x"))
+        _k_values(params, where)
     if "mesh" in params and params["mesh"] is not None:
-        _require_keys(params["mesh"], f"{where}.mesh", ("x_min", "x_max", "n_cells"))
+        mesh = params["mesh"]
+        _require_keys(mesh, f"{where}.mesh", ("x_min", "x_max", "n_cells"))
+        _numbers(mesh, f"{where}.mesh", ("x_min", "x_max"))
+        _positive(mesh, f"{where}.mesh", "n_cells", integer=True)
+        if not mesh["x_min"] < mesh["x_max"]:
+            raise ConfigError(f"{where}.mesh: need x_min < x_max")
     if "initial" in params and params["initial"] is not None:
         init = params["initial"]
         _require_keys(init, f"{where}.initial", ("kind",), ("x", "mean", "sd"))
         if init["kind"] not in ("point", "normal", "uniform"):
             raise ConfigError(f"{where}.initial.kind must be point|normal|uniform")
+        _numbers(init, f"{where}.initial", ("x", "mean", "sd"))
     return params
 
 
 def _check_threads(threads: Any) -> int:
-    if not isinstance(threads, int) or threads < 1:
+    if _number(threads, "threads", integer=True) < 1:
         raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     return threads
 
@@ -201,7 +234,8 @@ class ExperimentConfig:
         return replace(self,
                        seed=self.seed if seed is None else seed,
                        threads=self.threads if threads is None else _check_threads(threads),
-                       params={**self.params, **(params or {})})
+                       params=_check_params(self.experiment,
+                                            {**self.params, **(params or {})}))
 
 
 def parse_config(doc: Any) -> ExperimentConfig:
@@ -210,7 +244,7 @@ def parse_config(doc: Any) -> ExperimentConfig:
     kind = doc["experiment"]
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"experiment must be one of {EXPERIMENT_KINDS}, got {kind!r}")
-    if not isinstance(doc["seed"], int) or isinstance(doc["seed"], bool) or doc["seed"] < 0:
+    if _number(doc["seed"], "seed", integer=True) < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {doc['seed']!r}")
     threads = _check_threads(doc.get("threads", 1))
     model_raw = doc.get("model")
@@ -239,7 +273,7 @@ def load_config(path) -> ExperimentConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(doc)
 

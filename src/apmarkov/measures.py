@@ -83,11 +83,6 @@ class MeshMeasure:
         return MeshMeasure.from_unnormalized(mesh, mass)
 
     @staticmethod
-    def from_samples(mesh: Mesh, x: np.ndarray) -> "MeshMeasure":
-        counts = np.bincount(mesh.cell_index(x), minlength=mesh.n_cells).astype(float)
-        return MeshMeasure.from_unnormalized(mesh, counts)
-
-    @staticmethod
     def point_mass(mesh: Mesh, x: float) -> "MeshMeasure":
         w = np.zeros(mesh.n_cells)
         w[int(mesh.cell_index(x))] = 1.0

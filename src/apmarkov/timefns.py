@@ -35,7 +35,6 @@ __all__ = [
     "TimeGrid",
     "TimeFunctionError",
     "const",
-    "var_t",
     "parse_time_function",
     "simpson_profile",
     "derivative",
@@ -71,8 +70,8 @@ class _Const(_Node):
     def diff(self):
         return _Const(0.0)
 
-    def fmt(self):
-        return repr(self.value)
+    def fmt(self):  # a negative base needs its parentheses: (-2.0)^2 is not -(2.0^2)
+        return repr(self.value) if self.value >= 0 else f"({self.value!r})"
 
 
 @dataclass(frozen=True)
@@ -328,10 +327,6 @@ def const(value: float, **kw) -> TimeFunction:
     kw.setdefault("lower", value)
     kw.setdefault("upper", value)
     return TimeFunction(_Const(float(value)), **kw)
-
-
-def var_t() -> TimeFunction:
-    return TimeFunction(_Var())
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ from apmarkov.absorbed import (BoundaryPair, boundary_convergence_report,
                                conditioned_endpoint_law, default_boundary_pair,
                                fleming_viot, girsanov_survival_estimate,
                                girsanov_weight, q_process_approx, qed_comparison,
-                               simulate_absorbed, survival_flags,
-                               survival_probability, _uniform_window)
+                               survival_flags, survival_probability, _uniform_window)
 from apmarkov.measures import Mesh, MeshMeasure, tv_distance
 from apmarkov.paths import SimulationError
 from apmarkov.rng import make_generator, rekey
@@ -69,14 +68,18 @@ def test_unreachable_boundary_always_survives():
     huge = const(1e3, lower=1e3, upper=1e3)
     est = survival_probability(huge, 0.0, dt=0.01, T=1.0, n_paths=2000, seed=0)
     assert est.p == 1.0
-    path, tau = simulate_absorbed(huge, 0.0, dt=0.01, T=1.0, seed=1)
-    assert tau is None
-    assert len(path) == 101
+    ts = _uniform_window(0.0, 1.0, 0.01)
+    out = absorbed._engine(ts, absorbed._boundary_nodes(huge, ts), 0.0, range(1), 1,
+                           at=range(101))
+    assert np.all(out["tau"] == np.inf)
+    assert out["states"].shape == (1, 101) and np.all(np.isfinite(out["states"]))
 
 
 def test_x0_must_be_interior():
     with pytest.raises(ValueError, match="outside"):
-        simulate_absorbed(UNIT, 1.0, dt=0.01, T=1.0, seed=0)
+        conditioned_endpoint_law(UNIT, 1.0, 0.01, 1.0, 10, 0, Mesh(-1.0, 1.0, 10))
+    with pytest.raises(ValueError, match="outside"):
+        girsanov_survival_estimate(UNIT, 1.0, dt=0.01, T=1.0, n_paths=10, seed=0)
     with pytest.raises(ValueError, match="outside"):
         survival_probability(UNIT, -1.2, dt=0.01, T=1.0, n_paths=10, seed=0)
 
@@ -221,25 +224,22 @@ def test_window_kernel_equals_per_step_reference(bridge, n_steps):
     ids = range(7, 307)
     tau, paths = reference_engine(ts, hb, 0.05, ids, 3, bridge)
     w = absorbed._WINDOW
-    record_steps = [r for r in (0, w // 2 + 1, w, 2 * w, n_steps) if r <= n_steps]
+    at = [r for r in (0, w // 2 + 1, w, 2 * w, n_steps) if r <= n_steps]
     for rows in (slice(None), 0):  # stacked and single boundaries
         dropped = np.all(np.atleast_2d(tau[rows]) < np.inf, axis=0)
-        for record_step in record_steps:
-            out = absorbed._engine(ts, hb[rows], 0.05, ids, 3, bridge=bridge,
-                                   record_step=record_step)
+        for steps in (at, at[::-1], range(n_steps + 1)):
+            out = absorbed._engine(ts, hb[rows], 0.05, ids, 3, bridge=bridge, at=steps)
             assert np.array_equal(out["tau"], tau[rows])
             assert np.array_equal(out["alive"], tau[rows] == np.inf)
-            for got, want in ((out["final"], paths[:, -1]), (out["rec"], paths[:, record_step])):
-                kept = ~np.isnan(got)  # NaN only for paths compaction dropped
-                assert np.all(kept | dropped)
-                assert np.array_equal(got[kept], want[kept])
-        assert np.isnan(out["final"]).any() == (n_steps > w)
-        full = absorbed._engine(ts, hb[rows], 0.05, ids, 3, bridge=bridge,
-                                record_step=w // 2 + 1, keep_paths=True)
-        assert np.array_equal(full["tau"], tau[rows])
-        assert np.array_equal(full["paths"], paths)
-        assert np.array_equal(full["final"], paths[:, -1])
-        assert np.array_equal(full["rec"], paths[:, w // 2 + 1])
+            got, want = out["states"], paths[:, steps]
+            kept = ~np.isnan(got)  # NaN only for paths compaction dropped
+            assert np.all(kept | dropped[:, None])
+            assert np.array_equal(got[kept], want[kept])
+            # compaction never drops a survivor: its whole path is returned
+            assert np.all(kept[~dropped])
+            assert np.isnan(got[:, -1]).any() == (steps[-1] == n_steps > w)
+        assert absorbed._engine(ts, hb[rows], 0.05, ids, 3, bridge=bridge)["states"].shape \
+            == (len(ids), 0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -257,12 +257,12 @@ def test_engine_is_exactly_brownian_scaling_invariant(j, c, wobble, x0, bridge, 
     dt, steps = 2e-3, np.arange(151)
     ts, ts_scaled = dt * steps, 4.0 ** j * dt * steps
     a = absorbed._engine(ts, absorbed._boundary_nodes(h, ts), x0 * c, range(200),
-                         seed, bridge=bridge)
+                         seed, bridge=bridge, at=(75, 150))
     b = absorbed._engine(ts_scaled, absorbed._boundary_nodes(h_scaled, ts_scaled),
-                         2.0 ** j * x0 * c, range(200), seed, bridge=bridge)
+                         2.0 ** j * x0 * c, range(200), seed, bridge=bridge, at=(75, 150))
     assert np.array_equal(a["alive"], b["alive"])
     assert np.array_equal(4.0 ** j * a["tau"], b["tau"])
-    assert np.array_equal(2.0 ** j * a["final"], b["final"], equal_nan=True)
+    assert np.array_equal(2.0 ** j * a["states"], b["states"], equal_nan=True)
 
 
 def test_survival_memory_does_not_grow_with_n_paths(monkeypatch):
@@ -431,6 +431,42 @@ def test_q_process_validates_horizon_order():
     with pytest.raises(ValueError):
         q_process_approx(UNIT, s=0.0, x=0.0, t=3.0, horizons=[2.0],
                          n_paths=100, seed=0, mesh=Mesh(-1, 1, 10))
+
+
+def test_q_process_rejects_horizons_off_the_grid():
+    with pytest.raises(ValueError, match="multiple"):
+        q_process_approx(UNIT, s=0.0, x=0.0, t=0.5, horizons=[0.705, 1.0],
+                         n_paths=100, seed=0, mesh=Mesh(-1, 1, 10), dt=1e-2)
+
+
+def test_q_process_survivors_to_a_horizon_match_survival_flags():
+    # a path absorbed by a direct hit exactly at the horizon's node is dead.
+    # Without the bridge a path's first steps do not depend on the window
+    # length, so every horizon can be checked against its own window
+    mesh = Mesh(-1.0, 1.0, 20)
+    for bridge, horizons in ((True, [0.5]), (False, [0.5, 0.8, 1.0])):
+        res = q_process_approx(UNIT, s=0.0, x=0.3, t=0.5, horizons=horizons,
+                               n_paths=20_000, seed=0, mesh=mesh, dt=1e-2, bridge=bridge)
+        for horizon, n_surv in zip(horizons, res.n_survivors):
+            flags = survival_flags(UNIT, 0.3, _uniform_window(0.0, horizon, 1e-2),
+                                   seed=0, n_paths=20_000, bridge=bridge)
+            assert n_surv == flags.sum()
+        law, n_surv = conditioned_endpoint_law(UNIT, 0.3, 1e-2, 0.5, 20_000, 0, mesh,
+                                               bridge=bridge)
+        assert n_surv == res.n_survivors[0]
+        assert np.array_equal(law.weights, res.laws[0].weights)
+
+
+def test_q_process_does_not_depend_on_batch_size(monkeypatch):
+    kw = dict(s=0.0, x=0.2, t=0.4, horizons=[0.6, 1.0], n_paths=1200, seed=5,
+              mesh=Mesh(-1.0, 1.0, 16), dt=1e-2)
+    whole = q_process_approx(UNIT, **kw)
+    monkeypatch.setattr(absorbed, "_MAX_BATCH_ELEMS", 400 * 100)
+    assert len(absorbed._batches(1200, 100)) == 3
+    split = q_process_approx(UNIT, **kw)
+    assert split.n_survivors == whole.n_survivors
+    for a, b in zip(split.laws, whole.laws):
+        assert np.array_equal(a.weights, b.weights)
 
 
 def test_conditional_minorization_single_probe_recovers_law():

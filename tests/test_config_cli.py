@@ -265,6 +265,10 @@ def test_cli_bad_k_list_exit_2(tmp_path, capsys):
     cfg = write(tmp_path, doc)
     assert main(["survival", "--config", str(cfg), "--out", str(tmp_path),
                  "--k-list", "0,x"]) == 2
+    # an override goes through the config's own checks
+    assert main(["survival", "--config", str(cfg), "--out", str(tmp_path),
+                 "--k-list=-3,0"]) == 2
+    assert "params.k_values" in capsys.readouterr().err
 
 
 def test_cli_ergodic_t_values_off_dt_grid_exit_2(tmp_path, capsys):
@@ -279,6 +283,40 @@ def test_cli_qsd_zero_bins_exit_2(tmp_path, capsys):
     cfg = write(tmp_path, doc)
     assert main(["qsd", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "params.n_bins" in capsys.readouterr().err
+
+
+def _survival_doc(**params):
+    base = {"s": 0.0, "t": 0.3, "x": 0.0, "k_values": [0], "n_paths": 50, "dt": 0.01}
+    base.update(params)
+    return {"experiment": "survival", "seed": 5, "model": BOUNDARY_MODEL, "params": base}
+
+
+def _drift_doc(**mesh):
+    return {"experiment": "drift", "seed": 1, "model": OU_MODEL,
+            "params": {"s": 0.0, "t1": 1.0, "theta": 0.6, "C": 1.3, "k_edge": 2.5,
+                       "mesh": dict({"x_min": -8.0, "x_max": 8.0, "n_cells": 11}, **mesh)}}
+
+
+@pytest.mark.parametrize("doc, field", [
+    (ergodic_doc(t_values=[1.0, 10 ** 400]), "params.t_values"),  # too large for a float
+    (_survival_doc(x="abc"), "params.x"),
+    (dict(_survival_doc(), model=dict(BOUNDARY_MODEL, n0="x")), "model.n0"),
+    (_drift_doc(n_cells="a"), "params.mesh.n_cells"),
+], ids=["ergodic-huge-int-t", "survival-x-string", "boundary-n0-string",
+        "mesh-n_cells-string"])
+def test_cli_non_finite_or_non_numeric_field_exit_2(tmp_path, capsys, doc, field):
+    cfg = write(tmp_path, doc)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and field in err
+
+
+def test_cli_integer_past_the_digit_limit_exit_2(tmp_path, capsys):
+    # json refuses to convert an integer literal of more than 4300 digits
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(ergodic_doc()).replace('"seed": 7', '"seed": 1' + "0" * 5000))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error")

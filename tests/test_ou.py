@@ -56,6 +56,22 @@ def test_chapman_kolmogorov_composition(times, use_auxiliary):
     assert comp.sigma ** 2 == pytest.approx(whole.sigma ** 2, rel=1e-9, abs=1e-15)
 
 
+def _normal_scale(lo, hi):  # no squares or products in the subnormal range
+    return st.floats(lo, hi).filter(lambda v: v == 0.0 or abs(v) >= 1e-100)
+
+
+_TRANSITIONS = st.builds(GaussianTransition, m=_normal_scale(-2.0, 2.0),
+                         sigma=_normal_scale(0.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_TRANSITIONS, b=_TRANSITIONS, c=_TRANSITIONS)
+def test_compose_is_associative(a, b, c):
+    left, right = a.compose(b).compose(c), a.compose(b.compose(c))
+    assert left.m == pytest.approx(right.m, rel=1e-12, abs=1e-300)
+    assert left.sigma == pytest.approx(right.sigma, rel=1e-12, abs=1e-300)
+
+
 def test_drift_profile_matches_transition_params_over_many_blocks():
     # 1001 periods span ~15 blocks of the profile's variance weight; the
     # Chapman-Kolmogorov join between blocks must not lose accuracy

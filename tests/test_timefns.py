@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from apmarkov.timefns import (TimeFunctionError, TimeGrid, const, derivative,
-                              parse_time_function, simpson_profile)
+from apmarkov.timefns import (TimeFunction, TimeFunctionError, TimeGrid, const,
+                              derivative, parse_time_function, simpson_profile)
 
 RNG = np.random.default_rng(2024)
 
@@ -55,6 +56,38 @@ def test_declared_bounds_and_period_checks():
 
 
 # -- derivatives -------------------------------------------------------------
+
+# expressions of the grammar: numbers, t and pi under the binary operators,
+# unary minus, sin/cos/exp and constant powers
+_LEAVES = st.one_of(st.just("t"), st.just("pi"),
+                    st.floats(0.0, 5.0).map(repr), st.integers(0, 9).map(str))
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map(
+            lambda p: f"({p[0]} {p[1]} {p[2]})"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "-"]), inner).map(
+            lambda p: f"{p[0]}({p[1]})"),
+        st.tuples(inner, st.sampled_from(["^", "**"]),
+                  st.sampled_from(["2", "3", "0.5", "-1", "-1.5"])).map(
+            lambda p: f"({p[0]}){p[1]}{p[2]}"))
+
+
+_EXPRESSIONS = st.recursive(_LEAVES, _compound, max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_EXPRESSIONS)
+def test_format_parse_round_trip(text):
+    f = parse_time_function(text)
+    f_tree = TimeFunction(f.root)  # formats its node tree, not the source text
+    again = parse_time_function(f_tree.fmt())
+    assert again.root == f.root
+    ts = np.linspace(0.0, 3.0, 31)
+    with np.errstate(all="ignore"):
+        assert np.array_equal(again(ts), f(ts), equal_nan=True)
+
 
 def test_derivative_of_constant_is_zero():
     assert derivative(const(3.7), 1.2, order=1) == 0.0
