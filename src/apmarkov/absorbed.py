@@ -28,7 +28,7 @@ import numpy as np
 from .measures import Mesh, MeshMeasure, tv_distance
 from .paths import SimulationError
 from .rng import make_generator, rekey
-from .timefns import TimeFunction, const, simpson_profile
+from .timefns import TimeFunction, grid_steps, simpson_profile
 
 __all__ = [
     "BoundaryPair",
@@ -85,7 +85,7 @@ class BoundaryPair:
         if self.n0 < 1:
             raise ValueError(f"n0 must be >= 1, got {self.n0}")
 
-    def validate(self, horizon: Optional[float] = None, samples: int = 64) -> None:
+    def validate(self) -> None:
         if not (math.isfinite(self.h.lower) and self.h.lower > 0):
             raise ValueError("h must declare a positive lower bound")
         if not math.isfinite(self.h.upper):
@@ -96,15 +96,16 @@ class BoundaryPair:
             raise ValueError(f"g must declare period gamma={self.gamma}")
         if not self.g.check_periodicity():
             raise ValueError("g is not periodic with the declared period")
+        if not (math.isfinite(self.g.upper) and self.g.check_bounds()):
+            raise ValueError("g must declare a finite upper bound and keep its declared bounds")
         ts = np.linspace(0.0, 40.0 * self.gamma, 4001)
         if np.any(self.h(ts) > self.g(ts) + 1e-12):
             raise ValueError("h must not exceed g")
-        if horizon is None:
-            horizon = (self.n0 + 25.0) * self.gamma
+        horizon = (self.n0 + 25.0) * self.gamma
         s_max = 30.0 * self.gamma
         fine = np.linspace(0.0, s_max + horizon, 60_001)
         hv = self.h(fine)
-        for s in np.linspace(0.0, s_max, samples):
+        for s in np.linspace(0.0, s_max, 64):
             near = (fine >= s) & (fine <= s + self.n0 * self.gamma)
             far = (fine > s + self.n0 * self.gamma) & (fine <= s + horizon)
             v_near = float(hv[near].min())
@@ -250,16 +251,8 @@ def _boundary_nodes(h, ts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _steps(T: float, dt: float, name: str) -> int:
-    """Number of dt steps in a span T, which must be a multiple of dt."""
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError(f"{name}={T} is not a multiple of dt={dt}")
-    return n_steps
-
-
 def _uniform_window(t_start: float, T: float, dt: float) -> np.ndarray:
-    n_steps = _steps(T, dt, "window length T")
+    n_steps = grid_steps(T, dt, "window length T")
     if n_steps < 1:
         raise ValueError("window must contain at least one step")
     return t_start + dt * np.arange(n_steps + 1)
@@ -365,8 +358,8 @@ def girsanov_survival_estimate(h: TimeFunction, x0: float, dt: float, T: float,
     hb = _boundary_nodes(h, ts)
     _check_start(x0, hb[0])
     # clock I(t) = int h^-2 on the window, from h^-2 sampled every dt/2
-    hm2 = const(1.0) / (h * h)
-    clock, _ = simpson_profile(hm2(t_start + 0.5 * dt * np.arange(2 * len(ts) - 1)), dt)
+    v = np.asarray(h(t_start + 0.5 * dt * np.arange(2 * len(ts) - 1)), dtype=float)
+    clock, _ = simpson_profile(1.0 / (v * v), dt)
     ones = np.ones(len(ts))
     w0 = x0 / hb[0]
     total = 0.0
@@ -530,8 +523,8 @@ def q_process_approx(h, s: float, x: float, t: float, horizons: Sequence[float],
     ts = _uniform_window(s, horizons[-1] - s, dt)
     hb = _boundary_nodes(h, ts)
     _check_start(x, hb[0])
-    rec_step = _steps(t - s, dt, "t - s")
-    ends = [_steps(v - s, dt, "horizon - s") for v in horizons]
+    rec_step = grid_steps(t - s, dt, "t - s")
+    ends = [grid_steps(v - s, dt, "horizon - s") for v in horizons]
     counts = np.zeros((len(horizons), mesh.n_cells))
     n_surv = np.zeros(len(horizons), dtype=int)
     for ids in _batches(n_paths, len(ts) - 1):

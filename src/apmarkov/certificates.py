@@ -16,9 +16,11 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import ndtr
 
-from .invariant import _GH_ORDER, _gauss_hermite, gaussian_kernel_matrix
+from .invariant import (_GH_ORDER, _folded_cell_masses, _gauss_hermite,
+                        gaussian_kernel_matrix)
 from .measures import Mesh, MeshMeasure, psi_distance
 from .ou import GaussianTransition, transition_params
+from .paths import SimulationError
 from .timefns import TimeFunction
 
 __all__ = [
@@ -50,8 +52,8 @@ def default_certificate_mesh() -> Mesh:
 class GaussianKernel:
     """Transition evaluator of the exact OU kernel for a given drift.
 
-    Wraps the closed-form Gaussian transitions with expectation, density and
-    mesh-propagation helpers used by the certificate checks.
+    Wraps the closed-form Gaussian transitions with expectation, cell-mass
+    and mesh-propagation helpers used by the certificate checks.
     """
 
     def __init__(self, drift: TimeFunction):
@@ -78,25 +80,10 @@ class GaussianKernel:
         y = tr.m * x[..., None] + tr.sigma * nodes
         return np.asarray(f(y), dtype=float) @ weights
 
-    def density(self, s: float, t: float, x: float, y) -> np.ndarray:
-        tr = self.params(s, t)
-        y = np.asarray(y, dtype=float)
-        if tr.sigma == 0.0:
-            raise ValueError("degenerate kernel has no density")
-        z = (y - tr.m * x) / tr.sigma
-        return np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * tr.sigma)
-
     def cell_mass(self, s: float, t: float, x: float, mesh: Mesh) -> np.ndarray:
         """Law of one step from x, as cell masses with tails folded in."""
         tr = self.params(s, t)
-        if tr.sigma == 0.0:
-            w = np.zeros(mesh.n_cells)
-            w[int(mesh.cell_index(tr.m * x))] = 1.0
-            return w
-        z = (mesh.edges() - tr.m * x) / tr.sigma
-        cdf = ndtr(z)
-        cdf[0], cdf[-1] = 0.0, 1.0
-        return np.diff(cdf)
+        return _folded_cell_masses(tr.m, tr.sigma, np.array([float(x)]), mesh)[0]
 
     def propagate(self, mu: MeshMeasure, s: float, t: float) -> MeshMeasure:
         """Push a mesh measure through the kernel (tails folded to edges)."""
@@ -262,7 +249,10 @@ def gaussian_class_minorization(a: float, b_minus: float, b_plus: float,
     # has no 1 - Phi cancellation
     mass = 2.0 * math.sqrt(2.0 * math.pi) * b_minus * float(ndtr(-a / b_minus))
     c = mass / (math.sqrt(2.0 * math.pi) * b_plus)
-    nu = MeshMeasure.from_unnormalized(mesh, _minorizing_cell_masses(a, b_minus, mesh))
+    masses = _minorizing_cell_masses(a, b_minus, mesh)
+    if not masses.sum() > 0.0:  # the mesh lies where f underflows
+        raise SimulationError(f"nu has no mass on the mesh [{mesh.x_min}, {mesh.x_max}]")
+    nu = MeshMeasure.from_unnormalized(mesh, masses)
     nu_density = _minorizing_shape(a, b_minus, x) / mass
 
     gen = np.random.Generator(np.random.Philox(key=seed))

@@ -17,10 +17,10 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from .absorbed import BoundaryPair
+from .absorbed import BoundaryPair, _check_start
 from .ou import OUSpec
 from .paths import Observable
-from .timefns import TimeFunction, parse_time_function
+from .timefns import TimeFunction, grid_steps, parse_time_function
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config",
            "serialize_config", "config_hash", "OBSERVABLES", "EXPERIMENT_KINDS"]
@@ -68,8 +68,15 @@ def _numbers(obj: dict, where: str, keys: tuple) -> None:
             _number(obj[key], f"{where}.{key}")
 
 
-def _positive(obj: dict, where: str, key: str, integer: bool = False):
-    v = _number(obj[key], f"{where}.{key}", integer)
+def _integer_in(v: Any, name: str, lo: int, hi: float = math.inf) -> int:
+    """v itself if it is an integer in [lo, hi)."""
+    if not lo <= _number(v, name, integer=True) < hi:
+        raise ConfigError(f"{name} must be an integer in [{lo}, {hi}), got {v!r}")
+    return v
+
+
+def _positive(obj: dict, where: str, key: str):
+    v = _number(obj[key], f"{where}.{key}")
     if not v > 0:
         raise ConfigError(f"{where}.{key} must be > 0, got {v!r}")
     return v
@@ -88,14 +95,35 @@ def _parse_timefn(obj: Any, where: str) -> TimeFunction:
     if obj.get("period") is not None:  # null declares no period
         _number(obj["period"], f"{where}.period")
     try:
-        return parse_time_function(
-            obj["expr"],
-            lower=float(obj.get("lower", -math.inf)),
-            upper=float(obj.get("upper", math.inf)),
-            period=obj.get("period"),
-        )
+        return parse_time_function(obj["expr"], lower=float(obj.get("lower", -math.inf)),
+                                   upper=float(obj.get("upper", math.inf)),
+                                   period=obj.get("period"))
     except Exception as exc:
         raise ConfigError(f"{where}.expr: {exc}") from exc
+
+
+def _library_rule(name: str, rule, *args):
+    """rule(*args), one of the library's own checks, with its ValueError
+    re-raised as a ConfigError naming the field."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _grid_steps(params: dict, name: str, label: str, span: float) -> int:
+    """Steps of params.dt in a span, which must be a positive multiple of it."""
+    n_steps = _library_rule(name, grid_steps, span, params["dt"], label)
+    if n_steps < 1:
+        raise ConfigError(f"{name}: {label}={span!r} is shorter than dt={params['dt']!r}")
+    return n_steps
+
+
+def _start_inside(x: float, name: str, starts) -> None:
+    """x lies inside every (boundary, start time) of starts, the boundary
+    evaluated as the absorbed engine evaluates it: on an array of times."""
+    h0 = min(float(b(np.array([t]))[0]) for b, t in starts)
+    _library_rule(name, _check_start, x, h0)
 
 
 def _parse_model(obj: Any):
@@ -104,27 +132,20 @@ def _parse_model(obj: Any):
     kind = obj["kind"]
     if kind == "ou":
         _require_keys(obj, "model", ("kind", "lambda", "g", "gamma"))
-        spec = OUSpec(lam=_parse_timefn(obj["lambda"], "model.lambda"),
-                      g=_parse_timefn(obj["g"], "model.g"),
-                      gamma=_positive(obj, "model", "gamma"))
-        try:
-            spec.validate()
-        except ValueError as exc:
-            raise ConfigError(f"model: {exc}") from exc
-        return spec
-    if kind == "boundary":
+        model = OUSpec(lam=_parse_timefn(obj["lambda"], "model.lambda"),
+                       g=_parse_timefn(obj["g"], "model.g"),
+                       gamma=_positive(obj, "model", "gamma"))
+    elif kind == "boundary":
         _require_keys(obj, "model", ("kind", "h", "g", "gamma"), ("n0",))
-        pair = BoundaryPair(h=_parse_timefn(obj["h"], "model.h"),
-                            g=_parse_timefn(obj["g"], "model.g"),
-                            gamma=_positive(obj, "model", "gamma"),
-                            n0=_positive(obj, "model", "n0", integer=True)
-                            if "n0" in obj else 1)
-        try:
-            pair.validate()
-        except ValueError as exc:
-            raise ConfigError(f"model: {exc}") from exc
-        return pair
-    raise ConfigError(f"model.kind must be 'ou' or 'boundary', got {kind!r}")
+        model = BoundaryPair(h=_parse_timefn(obj["h"], "model.h"),
+                             g=_parse_timefn(obj["g"], "model.g"),
+                             gamma=_positive(obj, "model", "gamma"),
+                             n0=_integer_in(obj["n0"], "model.n0", 1)
+                             if "n0" in obj else 1)
+    else:
+        raise ConfigError(f"model.kind must be 'ou' or 'boundary', got {kind!r}")
+    _library_rule("model", model.validate)
+    return model
 
 
 _PARAM_SCHEMAS = {
@@ -137,27 +158,46 @@ _PARAM_SCHEMAS = {
     "survival": (("s", "t", "x", "k_values", "n_paths", "dt"), ()),
     "asymptotic-periodicity": (("s", "n", "k_values"), ("probe_x",)),
 }
+# the initial laws each experiment can start from, and the keys of each law
+_INITIAL_KINDS = {"ergodic": ("point", "normal"), "qsd": ("point", "uniform")}
+_INITIAL_KEYS = {"point": ("x",), "normal": ("mean", "sd"), "uniform": ()}
 
 
-def _check_params(kind: str, params: dict) -> dict:
+def _check_initial(kind: str, init: Any, where: str) -> None:
+    _require_keys(init, where, ("kind",), ("x", "mean", "sd"))
+    if init["kind"] not in _INITIAL_KINDS[kind]:
+        raise ConfigError(f"{where}.kind must be one of {_INITIAL_KINDS[kind]} for "
+                          f"experiment {kind!r}, got {init['kind']!r}")
+    _require_keys(init, where, ("kind",), _INITIAL_KEYS[init["kind"]])
+    _numbers(init, where, ("x", "mean", "sd"))
+    if init.get("sd", 0.0) < 0:
+        raise ConfigError(f"{where}.sd must be >= 0, got {init['sd']!r}")
+
+
+def _check_params(kind: str, params: dict, model) -> dict:
+    """Check params against the experiment's schema and, through the
+    library's own grid and start-point rules, against the parsed model."""
     where = "params"
     required, optional = _PARAM_SCHEMAS[kind]
     _require_keys(params, where, required, optional)
+    if params.get("initial") is not None:
+        _check_initial(kind, params["initial"], f"{where}.initial")
+    if not isinstance(params.get("use_auxiliary", False), bool):
+        raise ConfigError(f"{where}.use_auxiliary must be true or false, "
+                          f"got {params['use_auxiliary']!r}")
     if kind == "ergodic":
-        if params["observable"] not in OBSERVABLES:
+        obs = params["observable"]
+        if not isinstance(obs, str) or obs not in OBSERVABLES:
             raise ConfigError(f"{where}.observable must be one of "
-                              f"{sorted(OBSERVABLES)}, got {params['observable']!r}")
+                              f"{sorted(OBSERVABLES)}, got {obs!r}")
         tv = params["t_values"]
         if (not isinstance(tv, list) or not tv
                 or any(not _number(v, f"{where}.t_values") > 0 for v in tv)):
             raise ConfigError(f"{where}.t_values must be a non-empty list of positive times")
-        _positive(params, where, "n_replicas", integer=True)
-        dt = _positive(params, where, "dt")
-        for t in tv:  # the tolerance ergodic._checkpoint_steps applies
-            k = round(t / dt) if math.isfinite(t / dt) else 0
-            if k < 1 or abs(k * dt - t) > 1e-9 * max(1.0, t):
-                raise ConfigError(f"{where}.t_values: {t!r} is not a positive multiple "
-                                  f"of {where}.dt={dt!r}")
+        _integer_in(params["n_replicas"], f"{where}.n_replicas", 1)
+        _positive(params, where, "dt")
+        for i, t in enumerate(tv):
+            _grid_steps(params, f"{where}.t_values[{i}]", "t", t)
     elif kind == "drift":
         for key in ("t1", "C", "k_edge"):
             _positive(params, where, key)
@@ -173,45 +213,56 @@ def _check_params(kind: str, params: dict) -> dict:
         if params["b_minus"] > params["b_plus"]:
             raise ConfigError(f"{where}: need b_minus <= b_plus")
         if "n_members" in params:
-            _positive(params, where, "n_members", integer=True)
+            _integer_in(params["n_members"], f"{where}.n_members", 1)
     elif kind == "qsd":
-        _positive(params, where, "n_particles", integer=True)
-        _positive(params, where, "T")
-        _positive(params, where, "dt")
+        _integer_in(params["n_particles"], f"{where}.n_particles", 2)
+        T = _positive(params, where, "T")
+        dt = _positive(params, where, "dt")
+        n_steps = _grid_steps(params, f"{where}.T", "T", T)
         if "n_bins" in params:
-            _positive(params, where, "n_bins", integer=True)
-        _numbers(params, where, ("burn_in",))
+            _integer_in(params["n_bins"], f"{where}.n_bins", 1)
+        # fleming_viot counts a step's occupation once its end passes burn_in + 1e-12
+        burn_in = _number(params.get("burn_in", 0.0), f"{where}.burn_in")
+        if not (0.0 <= burn_in and burn_in + 1e-12 < dt * n_steps):
+            raise ConfigError(f"{where}.burn_in must lie in [0, T), got {burn_in!r}")
         if params.get("boundary", "h") not in ("h", "g"):
             raise ConfigError(f"{where}.boundary must be 'h' or 'g'")
+        init = params.get("initial") or {"kind": "point"}
+        if init["kind"] == "point":
+            boundary = model.h if params.get("boundary", "h") == "h" else model.g
+            _start_inside(init.get("x", 0.0), f"{where}.initial.x", [(boundary, 0.0)])
     elif kind == "survival":
-        _positive(params, where, "n_paths", integer=True)
+        _integer_in(params["n_paths"], f"{where}.n_paths", 1)
         _positive(params, where, "dt")
         _numbers(params, where, ("s", "t", "x"))
         _k_values(params, where)
+        s, t = params["s"], params["t"]
+        if not 0 <= s <= t:
+            raise ConfigError(f"{where}.s must lie in [0, {where}.t], got s={s!r}, t={t!r}")
+        if t > s:
+            _grid_steps(params, f"{where}.t", "t - s", t - s)
+        # row k starts from x at s + k gamma, inside both h and g there
+        if params["k_values"]:
+            _start_inside(params["x"], f"{where}.x", [(b, s + k * model.gamma)
+                                                      for k in params["k_values"]
+                                                      for b in (model.h, model.g)])
     elif kind == "asymptotic-periodicity":
-        _positive(params, where, "n", integer=True)
+        _integer_in(params["n"], f"{where}.n", 1)
         _numbers(params, where, ("s", "probe_x"))
         _k_values(params, where)
+        if not 0 <= params["s"] < model.gamma:
+            raise ConfigError(f"{where}.s must lie in [0, gamma={model.gamma!r}), "
+                              f"got {params['s']!r}")
     if "mesh" in params and params["mesh"] is not None:
         mesh = params["mesh"]
         _require_keys(mesh, f"{where}.mesh", ("x_min", "x_max", "n_cells"))
         _numbers(mesh, f"{where}.mesh", ("x_min", "x_max"))
-        _positive(mesh, f"{where}.mesh", "n_cells", integer=True)
+        _integer_in(mesh["n_cells"], f"{where}.mesh.n_cells", 1)
         if not mesh["x_min"] < mesh["x_max"]:
             raise ConfigError(f"{where}.mesh: need x_min < x_max")
-    if "initial" in params and params["initial"] is not None:
-        init = params["initial"]
-        _require_keys(init, f"{where}.initial", ("kind",), ("x", "mean", "sd"))
-        if init["kind"] not in ("point", "normal", "uniform"):
-            raise ConfigError(f"{where}.initial.kind must be point|normal|uniform")
-        _numbers(init, f"{where}.initial", ("x", "mean", "sd"))
     return params
 
 
-def _check_threads(threads: Any) -> int:
-    if _number(threads, "threads", integer=True) < 1:
-        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
-    return threads
 
 
 @dataclass(frozen=True)
@@ -231,11 +282,13 @@ class ExperimentConfig:
     def with_overrides(self, seed: Optional[int] = None,
                        threads: Optional[int] = None,
                        params: Optional[dict] = None) -> "ExperimentConfig":
-        return replace(self,
-                       seed=self.seed if seed is None else seed,
-                       threads=self.threads if threads is None else _check_threads(threads),
-                       params=_check_params(self.experiment,
-                                            {**self.params, **(params or {})}))
+        """This config with the CLI's overrides, checked by the same rules."""
+        seed = self.seed if seed is None else seed
+        threads = self.threads if threads is None else threads
+        return replace(self, seed=_integer_in(seed, "seed", 0, 2 ** 64),
+                       threads=_integer_in(threads, "threads", 1),
+                       params=_check_params(self.experiment, {**self.params, **(params or {})},
+                                            self.parsed_model))
 
 
 def parse_config(doc: Any) -> ExperimentConfig:
@@ -244,9 +297,8 @@ def parse_config(doc: Any) -> ExperimentConfig:
     kind = doc["experiment"]
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"experiment must be one of {EXPERIMENT_KINDS}, got {kind!r}")
-    if _number(doc["seed"], "seed", integer=True) < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {doc['seed']!r}")
-    threads = _check_threads(doc.get("threads", 1))
+    _integer_in(doc["seed"], "seed", 0, 2 ** 64)  # the rng keys on 64 bits
+    threads = _integer_in(doc.get("threads", 1), "threads", 1)
     model_raw = doc.get("model")
     if kind == "minorization":
         if "model" in doc:  # the Gaussian-class certificate takes no model
@@ -261,7 +313,7 @@ def parse_config(doc: Any) -> ExperimentConfig:
             raise ConfigError(f"experiment {kind!r} needs a boundary model")
         if not wants_boundary and not isinstance(model, OUSpec):
             raise ConfigError(f"experiment {kind!r} needs an ou model")
-    params = _check_params(kind, doc["params"])
+    params = _check_params(kind, doc["params"], model)
     return ExperimentConfig(experiment=kind, seed=doc["seed"],
                             model_raw=model_raw or {}, params=params,
                             out=doc.get("out"), threads=threads, parsed_model=model)

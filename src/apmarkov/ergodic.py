@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .invariant import limiting_value
 from .ou import OUSpec, grid_transition_params
 from .paths import Observable
 from .rng import make_generator
-from .timefns import TimeGrid
+from .timefns import TimeGrid, grid_steps
 
 __all__ = [
     "ErgodicReport",
@@ -73,9 +73,7 @@ def default_checkpoints(t_max: float) -> List[float]:
 def _checkpoint_steps(t_values: Sequence[float], dt: float, n_steps: int) -> List[int]:
     steps = []
     for t in t_values:
-        k = int(round(t / dt))
-        if abs(k * dt - t) > 1e-9 * max(1.0, t):
-            raise ValueError(f"checkpoint t={t} is not a multiple of dt={dt}")
+        k = grid_steps(t, dt, "checkpoint t")
         if not (1 <= k <= n_steps):
             raise ValueError(f"checkpoint t={t} outside the simulated span")
         steps.append(k)
@@ -161,17 +159,15 @@ class ErgodicReport:
 def run_l2_experiment(spec: OUSpec, f: Observable, initial: InitialSampler,
                       t_values: Sequence[float], n_replicas: int,
                       dt: float = 1e-2, seed: int = 0,
-                      use_auxiliary: bool = False, threads: int = 1,
-                      limit: Optional[float] = None) -> ErgodicReport:
+                      use_auxiliary: bool = False, threads: int = 1) -> ErgodicReport:
     """Estimate E[(A_t - L)^2] across replicas at the given horizons.
 
-    L is the quadrature-computed period-averaged limit unless supplied.  The
-    fitted log-log slope of the cross-replica variance against t should be
-    near -1 (the O(1/t) variance decay).
+    L is the quadrature-computed period-averaged limit.  The fitted log-log
+    slope of the cross-replica variance against t should be near -1 (the
+    O(1/t) variance decay).
     """
     t_values = sorted(t_values)
-    if limit is None:
-        limit = limiting_value(spec, f)
+    limit = limiting_value(spec, f)
     avgs = ergodic_time_averages(spec.drift(use_auxiliary), f, initial,
                                  t_values, dt, n_replicas, seed, threads)
     mean_avg = avgs.mean(axis=0)
@@ -203,16 +199,11 @@ class ASReport:
 
 
 def run_as_experiment(spec: OUSpec, f: Observable, initial: InitialSampler,
-                      t_max: float, checkpoints: Optional[Sequence[float]] = None,
-                      dt: float = 1e-2, seed: int = 0,
-                      use_auxiliary: bool = False,
-                      limit: Optional[float] = None) -> ASReport:
-    """One path run to t_max; deviations reported at the checkpoints."""
-    if checkpoints is None:
-        checkpoints = default_checkpoints(t_max)
-    checkpoints = sorted(c for c in checkpoints if c <= t_max + 1e-12)
-    if limit is None:
-        limit = limiting_value(spec, f)
+                      t_max: float, dt: float = 1e-2, seed: int = 0,
+                      use_auxiliary: bool = False) -> ASReport:
+    """One path run to t_max; deviations reported at default_checkpoints(t_max)."""
+    checkpoints = default_checkpoints(t_max)
+    limit = limiting_value(spec, f)
     avgs = ergodic_time_averages(spec.drift(use_auxiliary), f, initial,
                                  checkpoints, dt, 1, seed)
     averages = avgs[0]

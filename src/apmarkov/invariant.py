@@ -78,23 +78,26 @@ def default_skeleton_mesh(spec: OUSpec, n_cells: int = 400, n_sd: float = 6.0) -
     return Mesh(x_min=-half, x_max=half, n_cells=n_cells)
 
 
-def gaussian_kernel_matrix(m: float, sigma: float, mesh: Mesh) -> np.ndarray:
-    """Row-stochastic matrix of x -> Normal(m x, sigma^2) on the mesh.
+def _folded_cell_masses(m: float, sigma: float, x: np.ndarray, mesh: Mesh) -> np.ndarray:
+    """Cell masses of Normal(m x, sigma^2) on the mesh, one row per state x.
 
-    Row i gives the law from the cell center x_i; mass beyond the mesh is
-    folded into the edge cells, so rows sum to 1 exactly.
+    Mass beyond the mesh is folded into the edge cells, so rows sum to 1
+    exactly; sigma = 0 puts all the mass in the cell of m x.
     """
-    centers = mesh.centers()
-    edges = mesh.edges()
     if sigma == 0.0:
-        k = np.zeros((mesh.n_cells, mesh.n_cells))
-        k[np.arange(mesh.n_cells), mesh.cell_index(m * centers)] = 1.0
+        k = np.zeros((len(x), mesh.n_cells))
+        k[np.arange(len(x)), mesh.cell_index(m * x)] = 1.0
         return k
-    z = (edges[None, :] - m * centers[:, None]) / sigma
-    cdf = ndtr(z)
+    cdf = ndtr((mesh.edges()[None, :] - m * x[:, None]) / sigma)
     cdf[:, 0] = 0.0
     cdf[:, -1] = 1.0
     return np.diff(cdf, axis=1)
+
+
+def gaussian_kernel_matrix(m: float, sigma: float, mesh: Mesh) -> np.ndarray:
+    """Row-stochastic matrix of x -> Normal(m x, sigma^2) on the mesh; row i
+    gives the law from the cell center x_i."""
+    return _folded_cell_masses(m, sigma, mesh.centers(), mesh)
 
 
 def skeleton_kernel_matrix(spec: OUSpec, mesh: Mesh) -> np.ndarray:

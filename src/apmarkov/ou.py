@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -149,7 +149,7 @@ class OUSpec:
         if self.gamma <= 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
 
-    def validate(self, horizon: Optional[float] = None) -> None:
+    def validate(self) -> None:
         """Numerical spot checks of the standing assumptions."""
         if not (math.isfinite(self.lam.lower) and math.isfinite(self.lam.upper)):
             raise ValueError("lam must declare finite bounds")
@@ -161,16 +161,15 @@ class OUSpec:
             raise ValueError("g is not periodic with the declared period")
         if not self.g.check_bounds():
             raise ValueError("g violates its declared bounds on the check grid")
-        c = self.c_inf(horizon)
+        c = self.c_inf()
         if c <= 0:
             raise ValueError(f"mean drift rate over a period must stay positive, got {c:.3e}")
 
-    def c_inf(self, horizon: Optional[float] = None) -> float:
-        """min over sampled s of (1/gamma) int_s^{s+gamma} lam, on a dense grid."""
-        if horizon is None:
-            horizon = 40.0 * self.gamma
+    def c_inf(self) -> float:
+        """min over sampled s in [0, 40 gamma] of (1/gamma) int_s^{s+gamma}
+        lam, on a dense grid."""
         per_window = 64
-        n = int(round(horizon / self.gamma)) * per_window + per_window
+        n = 41 * per_window
         delta = self.gamma / per_window
         big_lambda, _ = simpson_profile(self.lam(0.5 * delta * np.arange(2 * n + 1)), delta)
         window = big_lambda[per_window:] - big_lambda[:-per_window]

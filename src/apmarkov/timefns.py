@@ -1,5 +1,5 @@
-"""Time-function algebra: expression trees over t with analytic derivatives,
-and the one cumulative Simpson rule every time integral goes through.
+"""Time functions (expression trees over t with analytic derivatives), the
+dt-grid rule, and the one cumulative Simpson rule for every time integral.
 
 Every model ingredient that varies in time (drift rates, boundary radii,
 periodic envelopes) is a :class:`TimeFunction`: a small expression tree over
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "const",
     "parse_time_function",
     "simpson_profile",
+    "grid_steps",
     "derivative",
 ]
 
@@ -287,22 +288,6 @@ class TimeFunction:
     def fmt(self) -> str:
         return self.source or self.root.fmt()
 
-    # -- algebra (used to build h^-2, h*h', ... without re-parsing) --------
-    def __add__(self, other: "TimeFunction") -> "TimeFunction":
-        return TimeFunction(_add(self.root, _as_node(other)))
-
-    def __sub__(self, other: "TimeFunction") -> "TimeFunction":
-        return TimeFunction(_sub(self.root, _as_node(other)))
-
-    def __mul__(self, other: "TimeFunction") -> "TimeFunction":
-        return TimeFunction(_mul(self.root, _as_node(other)))
-
-    def __truediv__(self, other: "TimeFunction") -> "TimeFunction":
-        return TimeFunction(_div(self.root, _as_node(other)))
-
-    def __pow__(self, exponent: float) -> "TimeFunction":
-        return TimeFunction(_Pow(self.root, float(exponent)))
-
     # -- declared-invariant spot checks ------------------------------------
     def check_bounds(self, t_max: float = 50.0, n: int = 2001) -> bool:
         ts = np.linspace(0.0, t_max, n)
@@ -315,12 +300,6 @@ class TimeFunction:
         ts = np.linspace(0.0, t_max, n)
         a, b = self(ts), self(ts + self.period)
         return bool(np.all(np.abs(b - a) <= 1e-12 * (1.0 + np.abs(a))))
-
-
-def _as_node(x: Union[TimeFunction, float, int]) -> _Node:
-    if isinstance(x, TimeFunction):
-        return x.root
-    return _Const(float(x))
 
 
 def const(value: float, **kw) -> TimeFunction:
@@ -491,6 +470,15 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
+
+
+def grid_steps(span: float, dt: float, name: str) -> int:
+    """Number of dt steps in a span, which must be a multiple of dt within
+    1e-9 max(1, span); the one grid rule for every simulated window."""
+    n_steps = int(round(span / dt)) if math.isfinite(span / dt) else None
+    if n_steps is None or abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
+        raise TimeFunctionError(f"{name}={span!r} is not a multiple of dt={dt!r}")
+    return n_steps
 
 
 def simpson_profile(vals: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -321,7 +321,7 @@ def test_integrand_identity_simplification():
         h = parse_time_function(text)
         hp = h.derivative_fn(1)
         hpp = h.derivative_fn(2)
-        unsimplified = (h * hp).derivative_fn(1)
+        unsimplified = parse_time_function(f"({text}) * {hp.root.fmt()}").derivative_fn(1)
         ts = np.linspace(0.0, 3.0, 301)
         lhs = hp(ts) ** 2 - unsimplified(ts)
         rhs = -h(ts) * hpp(ts)

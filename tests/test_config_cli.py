@@ -311,6 +311,89 @@ def test_cli_non_finite_or_non_numeric_field_exit_2(tmp_path, capsys, doc, field
     assert err.startswith("configuration error") and field in err
 
 
+def _qsd_doc(**params):
+    base = {"n_particles": 10, "T": 0.1, "dt": 0.01}
+    base.update(params)
+    return {"experiment": "qsd", "seed": 3, "model": BOUNDARY_MODEL, "params": base}
+
+
+def _ap_doc(**params):
+    base = {"s": 0.0, "n": 1, "k_values": [0, 2]}
+    base.update(params)
+    return {"experiment": "asymptotic-periodicity", "seed": 1, "model": OU_MODEL,
+            "params": base}
+
+
+# the boundary models' h at time 0, where every start point must lie inside
+H0 = 1.0 / 1.3
+
+
+@pytest.mark.parametrize("doc, field", [
+    # once a library ValueError, escaping as a traceback
+    (_qsd_doc(T=0.105), "params.T"),
+    (_survival_doc(x=1.9), "params.x"),
+    (_survival_doc(s=0.5), "params.s"),
+    (_survival_doc(t=0.305), "params.t"),
+    (_qsd_doc(initial={"kind": "point", "x": 5}), "params.initial.x"),
+    (_qsd_doc(burn_in=0.1), "params.burn_in"),
+    (_qsd_doc(n_particles=1), "params.n_particles"),
+    (_ap_doc(s=1.0), "params.s"),
+    # once run, but not as written
+    (_qsd_doc(initial={"kind": "normal", "mean": 0.5}), "params.initial.kind"),
+    (ergodic_doc(use_auxiliary="false"), "params.use_auxiliary"),
+    (_qsd_doc(initial={"kind": "uniform", "x": 0.3}), "params.initial"),
+    (ergodic_doc(initial={"kind": "point", "mean": 1.0}), "params.initial"),
+    (ergodic_doc(initial={"kind": "normal", "sd": -1.0}), "params.initial.sd"),
+    (_qsd_doc(burn_in=-0.05), "params.burn_in"),
+    # the start point is checked against h and g at every s + k gamma
+    (_survival_doc(x=H0), "params.x"),
+    (_survival_doc(x=0.8, k_values=[2, 0]), "params.x"),
+    # once exit 2 from the run, now from the schema
+    (ergodic_doc(initial={"kind": "uniform"}), "params.initial.kind"),
+], ids=["qsd-T-off-grid", "survival-x-outside", "survival-s-after-t",
+        "survival-t-minus-s-off-grid", "qsd-point-outside", "qsd-burn-in-past-T",
+        "qsd-one-particle", "ap-s-past-gamma", "qsd-normal-initial",
+        "ergodic-string-use-auxiliary", "qsd-uniform-with-x", "ergodic-point-with-mean",
+        "ergodic-negative-sd", "qsd-negative-burn-in", "survival-x-on-boundary",
+        "survival-x-outside-at-k0-only", "ergodic-uniform-initial"])
+def test_cli_config_the_library_cannot_run_exit_2(tmp_path, capsys, doc, field):
+    cfg = write(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and field in err
+    assert not (out / "manifest.jsonl").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_cli_seed_override_is_validated(tmp_path, capsys, seed):
+    # minorization keys Philox on the seed itself (-1 was a key error); the rng keys on 64 bits
+    doc = {"experiment": "minorization", "seed": 1,
+           "params": {"a": 1.0, "b_minus": 1.0, "b_plus": 2.0, "n_members": 10}}
+    cfg = write(tmp_path, doc)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--seed", seed]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_cli_k_list_override_rechecks_the_start_point(tmp_path, capsys):
+    # x = 0.8 lies inside h(2) ~ 0.93 but outside h(0) ~ 0.77
+    cfg = write(tmp_path, _survival_doc(x=0.8, k_values=[2]))
+    assert main(["survival", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    assert main(["survival", "--config", str(cfg), "--out", str(tmp_path / "b"),
+                 "--k-list", "0,2"]) == 2
+    assert "params.x" in capsys.readouterr().err
+
+
+def test_cli_runs_every_initial_kind_each_experiment_takes(tmp_path):
+    for doc in (ergodic_doc(initial={"kind": "normal", "mean": 0.5, "sd": 0.0}),
+                ergodic_doc(use_auxiliary=True),
+                _qsd_doc(initial={"kind": "uniform"}, burn_in=0.05),
+                _qsd_doc(initial={"kind": "point", "x": 0.5}, boundary="g")):
+        cfg = write(tmp_path, doc)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_cli_integer_past_the_digit_limit_exit_2(tmp_path, capsys):
     # json refuses to convert an integer literal of more than 4300 digits
     cfg = tmp_path / "cfg.json"
@@ -362,6 +445,16 @@ def test_cli_numeric_failure_exit_3(tmp_path, capsys):
     code = main(["qsd", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_cli_minorization_mesh_without_nu_mass_exit_3(tmp_path, capsys):
+    # f = exp(-(|x| + 3)^2 / 2) underflows against 1 on [-8, -6]: no cell has mass
+    doc = {"experiment": "minorization", "seed": 1,
+           "params": {"a": 3.0, "b_minus": 1.0, "b_plus": 2.0, "n_members": 10,
+                      "mesh": {"x_min": -8.0, "x_max": -6.0, "n_cells": 101}}}
+    cfg = write(tmp_path, doc)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "no mass on the mesh" in capsys.readouterr().err
 
 
 def test_cli_drift_certificate_artifact(tmp_path):

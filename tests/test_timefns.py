@@ -169,11 +169,12 @@ def test_simpson_profile_rows_match_one_dimensional_calls():
 
 def test_cumulative_clock_constant_boundaries():
     grid = TimeGrid(t0=0.0, dt=0.05, n_steps=40)
-    h1 = const(1.0)
-    clock, _ = simpson_profile(half_panel_samples(const(1.0) / (h1 * h1), 0.0, 0.05, 40), 0.05)
+    # the clock integrand h^-2 from the boundary's samples, as the Girsanov clock builds it
+    v1 = half_panel_samples(const(1.0), 0.0, 0.05, 40)
+    clock, _ = simpson_profile(1.0 / (v1 * v1), 0.05)
     np.testing.assert_allclose(clock, grid.times(), atol=1e-14)
-    h2 = const(2.0)
-    clock2, _ = simpson_profile(half_panel_samples(const(1.0) / (h2 * h2), 0.0, 0.05, 40), 0.05)
+    v2 = half_panel_samples(const(2.0), 0.0, 0.05, 40)
+    clock2, _ = simpson_profile(1.0 / (v2 * v2), 0.05)
     np.testing.assert_allclose(clock2, grid.times() / 4.0, atol=1e-14)
 
 
