@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .invariant import (_GH_ORDER, _folded_cell_masses, _gauss_hermite,
                         gaussian_kernel_matrix)
 from .measures import Mesh, MeshMeasure, psi_distance
-from .ou import GaussianTransition, transition_params
+from .ou import GaussianTransition, _ndtr, transition_params
 from .paths import SimulationError
 from .timefns import TimeFunction
 
@@ -221,8 +220,8 @@ def _minorizing_cell_masses(a: float, b: float, mesh: Mesh) -> np.ndarray:
     """
     def anti(x):  # int_0^x of the right-half shape, extended oddly
         x = np.asarray(x, dtype=float)
-        base = ndtr(a / b)
-        return np.sign(x) * math.sqrt(2.0 * math.pi) * b * (ndtr((np.abs(x) + a) / b) - base)
+        base = _ndtr(a / b)
+        return np.sign(x) * math.sqrt(2.0 * math.pi) * b * (_ndtr((np.abs(x) + a) / b) - base)
 
     return np.diff(anti(mesh.edges()))
 
@@ -245,9 +244,9 @@ def gaussian_class_minorization(a: float, b_minus: float, b_plus: float,
         raise ValueError(f"need a >= 0, got {a}")
     mesh = mesh or default_certificate_mesh()
     x = mesh.centers()
-    # int f = 2 int_0^inf exp(-(x + a)^2 / (2 b^2)) dx; the upper tail ndtr(-a/b)
+    # int f = 2 int_0^inf exp(-(x + a)^2 / (2 b^2)) dx; the upper tail Phi(-a/b)
     # has no 1 - Phi cancellation
-    mass = 2.0 * math.sqrt(2.0 * math.pi) * b_minus * float(ndtr(-a / b_minus))
+    mass = 2.0 * math.sqrt(2.0 * math.pi) * b_minus * _ndtr(-a / b_minus)
     c = mass / (math.sqrt(2.0 * math.pi) * b_plus)
     masses = _minorizing_cell_masses(a, b_minus, mesh)
     if not masses.sum() > 0.0:  # the mesh lies where f underflows

@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .absorbed import (boundary_convergence_report, fleming_viot)
@@ -132,7 +131,6 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: Path, artifacts: list[str]) 
         "versions": {
             "apmarkov": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -10,15 +10,15 @@ measure independently; tests cross-check the two routes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.special import ndtr  # standard normal CDF
 
 from .measures import Mesh, MeshMeasure
-from .ou import OUSpec, drift_profile, transition_params
+from .ou import OUSpec, _ndtr, drift_profile, transition_params
 from .paths import Observable
 
 __all__ = [
@@ -88,7 +88,7 @@ def _folded_cell_masses(m: float, sigma: float, x: np.ndarray, mesh: Mesh) -> np
         k = np.zeros((len(x), mesh.n_cells))
         k[np.arange(len(x)), mesh.cell_index(m * x)] = 1.0
         return k
-    cdf = ndtr((mesh.edges()[None, :] - m * x[:, None]) / sigma)
+    cdf = _ndtr((mesh.edges()[None, :] - m * x[:, None]) / sigma)
     cdf[:, 0] = 0.0
     cdf[:, -1] = 1.0
     return np.diff(cdf, axis=1)
@@ -135,9 +135,14 @@ _N_S = 256
 _GH_ORDER = 64
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss_hermite(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and probability weights of the Gauss-Hermite rule, computed once
+    per order and returned read-only, since every caller shares them."""
     nodes, weights = np.polynomial.hermite.hermgauss(order)
-    return nodes, weights / math.sqrt(math.pi)
+    weights = weights / math.sqrt(math.pi)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def limiting_value(spec: OUSpec, f: Observable | Callable[[np.ndarray], np.ndarray]) -> float:

@@ -1,10 +1,16 @@
+import ast
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import apmarkov
 from apmarkov import ergodic
 from apmarkov.absorbed import BoundaryPair
 from apmarkov.cli import main
@@ -128,7 +134,33 @@ def test_cli_minimal_ergodic_run(tmp_path, capsys):
         assert float(line.split(",")[2]) <= 1e-24
     manifest = json.loads((out / "manifest.jsonl").read_text())
     assert manifest["experiment"] == "ergodic"
-    assert set(manifest["versions"]) == {"apmarkov", "numpy", "scipy", "python"}
+    assert set(manifest["versions"]) == {"apmarkov", "numpy", "python"}
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, so the modules the test session loaded do not count
+    code = ("import apmarkov.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(apmarkov.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_library_imports_only_numpy_and_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    for path in sorted(Path(apmarkov.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
 
 
 def test_cli_validation_failure_exit_2(tmp_path, capsys):

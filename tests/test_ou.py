@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import ndtr
 
-from apmarkov.ou import (GaussianTransition, OUSpec, asymptotic_periodicity_report,
+from apmarkov.measures import Mesh
+from apmarkov.ou import (GaussianTransition, OUSpec, _ndtr, asymptotic_periodicity_report,
                          default_ou_spec, drift_profile, gaussian_tv,
                          grid_transition_params, transition_params)
 from apmarkov.timefns import TimeGrid, const, parse_time_function
@@ -184,6 +188,60 @@ def test_gaussian_tv_small_distance_matches_cdf_oracle(n, k, x):
     assert row.tv == pytest.approx(
         gaussian_tv_exact(p.m * x, p.sigma, q.m * x, q.sigma), abs=1e-9)
 
+
+
+# -- normal CDF ----------------------------------------------------------------
+
+# |a| at the port's branch edges: erf below 1, 1 - erf below sqrt 2, the
+# P/Q rational below 8 sqrt 2, R/S up to where exp(-a^2/2) underflows
+_CDF_EDGES = (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 709.782712893384))
+_CDF_ARGS = st.one_of(
+    st.floats(),  # the full double range: subnormals, +-0, +-inf and NaN
+    st.floats(-40.0, 40.0),
+    st.builds(lambda edge, sign, rel: sign * edge * (1.0 + rel), st.sampled_from(_CDF_EDGES),
+              st.sampled_from((-1.0, 1.0)), st.floats(-1e-6, 1e-6)),
+)
+
+
+def _assert_bit_equal(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_CDF_ARGS)
+def test_ndtr_scalar_equals_scipy_bit_for_bit(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _ndtr(a)
+    assert type(got) is float
+    _assert_bit_equal(got, ndtr(a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=arrays(np.float64, st.tuples(st.integers(0, 40)), elements=_CDF_ARGS)
+       | arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)), elements=_CDF_ARGS))
+def test_ndtr_array_equals_scipy_bit_for_bit(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _ndtr(a)
+    _assert_bit_equal(got, ndtr(a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.floats(-2.0, 2.0), sigma=st.floats(1e-3, 10.0), n_cells=st.integers(1, 60),
+       half=st.floats(0.1, 20.0))
+def test_ndtr_on_folded_cell_mass_grids_equals_scipy_bit_for_bit(m, sigma, n_cells, half):
+    # the 2-D argument _folded_cell_masses builds: mesh edges against one
+    # mean per cell center
+    mesh = Mesh(-half, half, n_cells)
+    a = (mesh.edges()[None, :] - m * mesh.centers()[:, None]) / sigma
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _ndtr(a)
+    _assert_bit_equal(got, ndtr(a))
 
 # -- asymptotic periodicity report -------------------------------------------
 
