@@ -362,16 +362,14 @@ def girsanov_survival_estimate(h: TimeFunction, x0: float, dt: float, T: float,
     clock, _ = simpson_profile(1.0 / (v * v), dt)
     ones = np.ones(len(ts))
     w0 = x0 / hb[0]
-    total = 0.0
-    total_sq = 0.0
+    # one weight per path, summed once, so the batch split cannot move the sums
+    weights = np.zeros(n_paths)  # only the survivors carry a weight
     for ids in _batches(n_paths, len(ts) - 1):
         out = _engine(clock, ones, w0, ids, seed, bridge=bridge, at=range(len(ts)))
-        vals = np.zeros(len(ids))  # only the survivors carry a weight
+        vals = weights[ids.start:ids.stop]
         vals[out["alive"]] = _weights_matrix(ts, out["states"][out["alive"]], h)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-    p = total / n_paths
-    var = max(total_sq / n_paths - p * p, 0.0)
+    p = float(weights.sum()) / n_paths
+    var = max(float((weights * weights).sum()) / n_paths - p * p, 0.0)
     return SurvivalEstimate(p=p, stderr=math.sqrt(var / n_paths), n_paths=n_paths)
 
 

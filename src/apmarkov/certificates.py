@@ -207,6 +207,10 @@ class MinorizationCertificate:
         }, sort_keys=True)
 
 
+# members per block of the member check: 16 rows beat 8, 64 and all at once
+_MEMBER_BLOCK = 16
+
+
 def _minorizing_shape(a: float, b_minus: float, x: np.ndarray) -> np.ndarray:
     return np.minimum(np.exp(-(x - a) ** 2 / (2.0 * b_minus ** 2)),
                       np.exp(-(x + a) ** 2 / (2.0 * b_minus ** 2)))
@@ -258,18 +262,25 @@ def gaussian_class_minorization(a: float, b_minus: float, b_plus: float,
     means = gen.uniform(-a, a, size=n_members) if a > 0 else np.zeros(n_members)
     sds = gen.uniform(b_minus, b_plus, size=n_members)
     floor = c * nu_density
-    violations = 0
-    worst = math.inf
-    for m, sd in zip(means, sds):
-        dens = np.exp(-0.5 * ((x - m) / sd) ** 2) / (math.sqrt(2.0 * math.pi) * sd)
-        margin = float((dens - floor).min())
-        worst = min(worst, margin)
-        if margin < -1e-12:
-            violations += 1
+    # member densities minus the floor, a block at a time, in a one-member loop's float ops
+    margins = np.empty(n_members)
+    buf = np.empty((_MEMBER_BLOCK, len(x)))
+    for lo in range(0, n_members, _MEMBER_BLOCK):
+        m, sd = means[lo:lo + _MEMBER_BLOCK, None], sds[lo:lo + _MEMBER_BLOCK, None]
+        d = buf[:len(m)]
+        np.subtract(x, m, out=d)
+        d /= sd
+        np.square(d, out=d)
+        d *= -0.5
+        np.exp(d, out=d)
+        d /= math.sqrt(2.0 * math.pi) * sd
+        d -= floor
+        d.min(axis=1, out=margins[lo:lo + _MEMBER_BLOCK])
     return MinorizationCertificate(c=c, nu=nu, n0=n0, t1=t1, a=a,
                                    b_minus=b_minus, b_plus=b_plus,
                                    n_members_checked=n_members,
-                                   n_violations=violations, worst_margin=worst)
+                                   n_violations=int(np.count_nonzero(margins < -1e-12)),
+                                   worst_margin=float(margins.min(initial=math.inf)))
 
 
 @dataclass(frozen=True)

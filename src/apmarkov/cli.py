@@ -9,10 +9,11 @@ timestamp).
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
+import functools
 import json
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -33,16 +34,20 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _write_csv(path: Path, header, rows) -> None:
+    """Write numeric rows as csv.writer writes them, with CRLF line ends: an
+    int cell (bools too) by str, any other by repr(float(c)).  A column that
+    holds no int is formatted with no per-cell type test."""
+    cols = []
+    for col in zip(*rows):
+        if any(map(isinstance, col, repeat(int))):
+            cols.append([str(c) if isinstance(c, int) else repr(float(c)) for c in col])
+        else:
+            cols.append(map(repr, map(float, col)))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([c if isinstance(c, (str, int)) else _fmt(c) for c in row])
+        fh.write(",".join(header) + "\r\n")
+        for line in zip(*cols):
+            fh.write(",".join(line) + "\r\n")
 
 
 def _initial_from(params: dict):
@@ -158,8 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()  # once per process, on the first main call
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.command != "run" and cfg.experiment != args.command:

@@ -123,3 +123,29 @@ def conditioned_cell_masses(x: float, t: float, horizon: float,
     cell = dens.reshape(len(w), n_sub).mean(axis=1) * w
     cell = np.maximum(cell, 0.0)
     return cell / cell.sum()
+
+
+def gaussian_class_member_check(a: float, b_minus: float, b_plus: float, x: np.ndarray,
+                                n_members: int, seed: int, scale: float = 1.0):
+    """(worst margin, violations) of the Gaussian-class minorization check,
+    one sampled member at a time: each member's density on the points x minus
+    the floor c * nu, with the minorizing shape multiplied by ``scale``.
+
+    The members are the seeded Philox draws the certificate makes; the floor
+    comes from scipy's normal CDF and the closed-form mass of the shape.
+    """
+    mass = 2.0 * np.sqrt(2.0 * np.pi) * b_minus * norm.cdf(-a / b_minus)
+    c = mass / (np.sqrt(2.0 * np.pi) * b_plus)
+    shape = scale * np.minimum(np.exp(-(x - a) ** 2 / (2.0 * b_minus ** 2)),
+                               np.exp(-(x + a) ** 2 / (2.0 * b_minus ** 2)))
+    floor = c * (shape / mass)
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    means = gen.uniform(-a, a, size=n_members) if a > 0 else np.zeros(n_members)
+    sds = gen.uniform(b_minus, b_plus, size=n_members)
+    worst, violations = np.inf, 0
+    for m, sd in zip(means, sds):
+        dens = np.exp(-0.5 * ((x - m) / sd) ** 2) / (np.sqrt(2.0 * np.pi) * sd)
+        margin = float((dens - floor).min())
+        worst = min(worst, margin)
+        violations += margin < -1e-12
+    return worst, violations

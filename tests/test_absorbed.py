@@ -146,6 +146,16 @@ def test_flags_do_not_depend_on_batch_size(monkeypatch):
     assert np.array_equal(whole, split)
 
 
+def test_girsanov_does_not_depend_on_batch_size(monkeypatch):
+    h = default_boundary_pair().h
+    whole = girsanov_survival_estimate(h, 0.0, dt=1e-2, T=1.0, n_paths=3000, seed=5)
+    for paths_per_batch in (70, 30):
+        monkeypatch.setattr(absorbed, "_MAX_BATCH_ELEMS", paths_per_batch * 100)
+        assert len(absorbed._batches(3000, 100)) == math.ceil(3000 / paths_per_batch)
+        split = girsanov_survival_estimate(h, 0.0, dt=1e-2, T=1.0, n_paths=3000, seed=5)
+        assert (split.p, split.stderr) == (whole.p, whole.stderr)
+
+
 @settings(max_examples=25, deadline=None)
 @given(c_h=st.floats(0.2, 1.5), widen=st.floats(0.0, 1.0), x0=st.floats(-0.9, 0.9),
        seed=st.integers(0, 2 ** 32))

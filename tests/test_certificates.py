@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
+from apmarkov import certificates
 from apmarkov.certificates import (GaussianKernel, MinorizationCertificate,
                                    check_drift, check_growth, contraction_rate_fit,
                                    default_certificate_mesh,
@@ -14,7 +16,7 @@ from apmarkov.measures import Mesh, MeshMeasure, psi_distance
 from apmarkov.ou import default_ou_spec
 from apmarkov.timefns import const
 
-from oracles import gaussian_tv_exact
+from oracles import gaussian_class_member_check, gaussian_tv_exact
 
 UNIT = const(1.0, lower=1.0, upper=1.0)
 ZERO = const(0.0, lower=0.0, upper=0.0)
@@ -152,6 +154,36 @@ def test_minorization_monotonicity_in_parameters():
     wider_b = gaussian_class_minorization(0.5, 1.0, 2.5, n_members=50, seed=1).c
     assert wider_a <= base + 1e-12
     assert wider_b <= base + 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=st.one_of(st.just(0.0), st.floats(0.0, 4.0)), b_minus=st.floats(0.5, 2.0),
+       widen=st.floats(1.0, 3.0), n_members=st.integers(1, 1200),
+       n_cells=st.integers(1, 501), seed=st.integers(0, 2 ** 32),
+       scale=st.one_of(st.just(1.0), st.floats(1.0, 8.0)))
+def test_member_check_equals_one_member_at_a_time(a, b_minus, widen, n_members,
+                                                   n_cells, seed, scale):
+    # the member check runs members in blocks; the worst margin and the
+    # violation count must be those of a loop over the members, bit for bit.
+    # A floor scaled above c * nu makes the count non-zero.
+    b_plus = b_minus * widen
+    mesh = Mesh(x_min=-8.0, x_max=8.0, n_cells=n_cells)
+    shape = certificates._minorizing_shape
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certificates, "_minorizing_shape",
+                   lambda a, b, x: scale * shape(a, b, x))
+        cert = gaussian_class_minorization(a, b_minus, b_plus, mesh=mesh,
+                                           n_members=n_members, seed=seed)
+    worst, violations = gaussian_class_member_check(a, b_minus, b_plus, mesh.centers(),
+                                                    n_members, seed, scale)
+    assert cert.worst_margin == worst
+    assert cert.n_violations == violations
+
+
+def test_member_check_of_no_members():
+    cert = gaussian_class_minorization(0.5, 1.0, 1.5, n_members=0)
+    assert (cert.worst_margin, cert.n_violations) == (math.inf, 0)
+    assert gaussian_class_member_check(0.5, 1.0, 1.5, np.zeros(3), 0, 0) == (math.inf, 0)
 
 
 def test_minorization_rejects_bad_parameters():

@@ -1,4 +1,5 @@
 import ast
+import csv
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 import apmarkov
 from apmarkov import ergodic
 from apmarkov.absorbed import BoundaryPair
-from apmarkov.cli import main
+from apmarkov.cli import _write_csv, main
 from apmarkov.config import (ConfigError, config_hash, parse_config,
                              serialize_config)
 from apmarkov.timefns import parse_time_function
@@ -539,3 +540,32 @@ def test_cli_asymptotic_periodicity_artifact(tmp_path):
     assert lines[0] == "k,n,s,tv"
     tvs = [float(ln.split(",")[3]) for ln in lines[1:]]
     assert tvs[0] > tvs[-1]
+
+
+def _csv_writer_bytes(path, header, rows):
+    # reference: csv.writer, given ints (bools too) as they are and every
+    # other cell as repr(float(c))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([c if isinstance(c, int) else repr(float(c)) for c in row])
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [(0, True, -0.0, math.nan), (-3, False, math.inf, -math.inf),
+     (2 ** 70, True, 1e-05, 1e16), (7, False, 5e-324, -5e-324)],
+    [(np.float64(-0.0), np.float64(1e-05), np.float32(0.1), np.int64(3)),
+     (np.float64(math.nan), np.float64(1e16), np.float32(-2.5), np.int64(-4))],
+    [(10, 0.5, np.float64(0.25), 1), (100.5, 2, np.float64(5e-324), 1.0),
+     (np.float64(1000.0), -0.0, 7, True)],
+    list(zip(np.linspace(-8.0, 8.0, 2001).tolist(),
+             np.random.default_rng(0).random(2001).tolist())),
+])
+def test_csv_bytes_equal_csv_writer(tmp_path, rows):
+    header = [f"c{i}" for i in range(len(rows[0]) if rows else 3)]
+    _write_csv(tmp_path / "new.csv", header, rows)
+    expected = _csv_writer_bytes(tmp_path / "ref.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == expected
