@@ -134,12 +134,18 @@ def default_boundary_pair() -> BoundaryPair:
 # absorption engine
 # ---------------------------------------------------------------------------
 
+def _crossing(x, xn, h0, h1, dt, u) -> np.ndarray:
+    """u < p, where p is the probability that the Brownian bridge from x to
+    xn over a step of length dt leaves (-h, h) for the boundary linearised
+    from h0 to h1, the up and down crossings combined as up + dn - up dn."""
+    up = np.exp(-2.0 * np.maximum(h0 - x, 0.0) * np.maximum(h1 - xn, 0.0) / dt)
+    dn = np.exp(-2.0 * np.maximum(h0 + x, 0.0) * np.maximum(h1 + xn, 0.0) / dt)
+    return u < up + dn - up * dn
+
+
 def _bridge_step(x, xn, h0, h1, dt, u) -> np.ndarray:
-    """Bridge-triggered absorption over one step: u < p, where p is the
-    probability that the Brownian bridge from x to xn over a step of length
-    dt leaves (-h, h) for the boundary linearised from h0 to h1, the up and
-    down crossings combined as up + dn - up dn.  Arguments broadcast; dt is
-    a scalar or an array of per-step lengths.
+    """Bridge-triggered absorption over one step (see _crossing) for arrays
+    x, xn and u of one shape; h0, h1 and dt are scalars or of that shape.
 
     p is only evaluated within _BRIDGE_REACH sqrt(dt) of the boundary (at
     either end of the step) and where u == 0.  Everywhere else both
@@ -152,12 +158,8 @@ def _bridge_step(x, xn, h0, h1, dt, u) -> np.ndarray:
     hit = np.zeros(near.shape, dtype=bool)
     sel = np.nonzero(near)
     if sel[0].size:
-        x, xn, h0, h1, dt, u = (v if np.ndim(v) == 0 else v[sel] if np.shape(v) == near.shape
-                                else np.broadcast_to(v, near.shape)[sel]
-                                for v in (x, xn, h0, h1, dt, u))
-        up = np.exp(-2.0 * np.maximum(h0 - x, 0.0) * np.maximum(h1 - xn, 0.0) / dt)
-        dn = np.exp(-2.0 * np.maximum(h0 + x, 0.0) * np.maximum(h1 + xn, 0.0) / dt)
-        hit[sel] = u < up + dn - up * dn
+        hit[sel] = _crossing(*(v if np.ndim(v) == 0 else v[sel]
+                               for v in (x, xn, h0, h1, dt, u)))
     return hit
 
 
@@ -201,6 +203,11 @@ def _engine(ts: np.ndarray, hb: np.ndarray, x0: float, ids: range, seed: int,
     states = np.full((n, len(at)), np.nan)
     states[:, at == 0] = x0
     dts = np.diff(ts)
+    if bridge:  # the reach edges of _bridge_step, and whether its u == 0 rule applies
+        reach = _BRIDGE_REACH * np.sqrt(dts)
+        lo, hi = hb[:, :-1] - reach, hb[:, 1:] - reach
+        zero_u = u.min(initial=1.0) == 0.0
+    buf = np.empty((2, (_WINDOW + 1) * n))  # the window's states and their magnitudes
     for k0 in range(0, n_steps, _WINDOW):
         k1 = min(k0 + _WINDOW, n_steps)
         live = alive.any(axis=0)
@@ -211,24 +218,31 @@ def _engine(ts: np.ndarray, hb: np.ndarray, x0: float, ids: range, seed: int,
         # the window's states, step-major: X[j] = x + sum of the first j
         # increments, added in step order, as a step-by-step loop adds them
         dt_w = dts[k0:k1, None]
-        X = np.empty((k1 - k0 + 1, len(rows)))
+        X, A = buf[:, :(k1 - k0 + 1) * len(rows)].reshape(2, k1 - k0 + 1, len(rows))
         X[0] = x
         np.multiply(np.sqrt(dt_w), z[rows, k0:k1].T, out=X[1:])
         np.cumsum(X, axis=0, out=X)
-        h1 = hb[:, k0 + 1:k1 + 1, None]
-        direct = np.abs(X[1:]) >= h1  # (n_boundaries, window steps, working set)
-        hit = direct
-        if bridge:
-            hit = direct | _bridge_step(X[:-1], X[1:], hb[:, k0:k1, None], h1, dt_w,
-                                        u[rows, k0:k1].T)
-        hit = hit & alive[:, None, :]
+        np.abs(X, out=A)
+        direct = A[1:] >= hb[:, k0 + 1:k1 + 1, None]  # (n_boundaries, window steps, working set)
+        hit = direct & alive[:, None, :]
+        if bridge:  # p only where _bridge_step would evaluate it and it can decide a hit
+            cand = (A[:-1] > lo[:, k0:k1, None]) | (A[1:] > hi[:, k0:k1, None])
+            if zero_u:
+                cand |= u[rows, k0:k1].T == 0.0
+            cand &= alive[:, None, :] > direct  # alive and not a direct hit
+            flat = X.reshape(-1)
+            for b, c in enumerate(map(np.flatnonzero, cand)):
+                j, i = np.divmod(c, len(rows))
+                k = k0 + j
+                hit[b].reshape(-1)[c] = _crossing(flat[c], flat[c + len(rows)], hb[b, k],
+                                                  hb[b, k + 1], dts[k], u[rows[i], k])
         b, i = np.nonzero(hit.any(axis=1))
         if b.size:  # first hit of each newly absorbed (boundary, path)
             j = hit[b, :, i].argmax(axis=1)
             tau[b, rows[i]] = np.where(direct[b, j, i], ts[k0 + j + 1],
                                        ts[k0 + j] + 0.5 * dts[k0 + j])
             alive[b, i] = False
-        x = X[-1]
+        x = X[-1]  # a view into buf, copied to the next window's X[0] before it is overwritten
         cols = np.nonzero((at > k0) & (at <= k1))[0]
         if cols.size:
             states[rows[:, None], cols] = X[at[cols] - k0].T

@@ -1,8 +1,11 @@
 """Independent oracles used to freeze expected values.
 
 Everything here is derived from closed-form analysis (spectral series,
-reflection images, Gaussian CDFs), not from the code under test.
+reflection images, Gaussian CDFs) or is a direct step-by-step specification,
+not from the code under test.
 """
+
+import math
 
 import numpy as np
 from scipy.stats import norm
@@ -149,3 +152,37 @@ def gaussian_class_member_check(a: float, b_minus: float, b_plus: float, x: np.n
         worst = min(worst, margin)
         violations += margin < -1e-12
     return worst, violations
+
+
+def reference_engine(ts, hb, x0, ids, seed, bridge, make_generator):
+    """The absorbed engine's specification: every path stepped one step at a
+    time to the end of the window against every boundary row of hb.
+
+    Path r draws its normals and then its uniforms from make_generator(seed,
+    r).  A step from x to xn is a hit when |xn| >= h1 (tau at the step's end)
+    or, with the bridge, when u < p (tau at the step's midpoint), where p is
+    the Brownian-bridge crossing probability against the boundary linearised
+    from h0 to h1, evaluated at every (boundary, path, step) with no cutoff.
+    Returns tau, one row per boundary, and the whole paths.
+    """
+    hb = np.atleast_2d(hb)
+    n_steps = len(ts) - 1
+    draws = [(g.standard_normal(n_steps), g.random(n_steps))
+             for g in (make_generator(seed, r) for r in ids)]
+    z, u = (np.array(v) for v in zip(*draws))
+    x = np.full(len(ids), float(x0))
+    tau = np.full((len(hb), len(ids)), np.inf)
+    paths = [x]
+    for k in range(n_steps):
+        dt = ts[k + 1] - ts[k]
+        xn = x + math.sqrt(dt) * z[:, k]
+        h0, h1 = hb[:, k, None], hb[:, k + 1, None]
+        up = np.exp(-2.0 * np.maximum(h0 - x, 0.0) * np.maximum(h1 - xn, 0.0) / dt)
+        dn = np.exp(-2.0 * np.maximum(h0 + x, 0.0) * np.maximum(h1 + xn, 0.0) / dt)
+        direct = np.abs(xn) >= h1
+        hit = direct | (bridge & (u[:, k] < up + dn - up * dn))
+        new = hit & (tau == np.inf)
+        tau[new] = np.where(direct, ts[k + 1], ts[k] + 0.5 * dt)[new]
+        x = xn
+        paths.append(x)
+    return tau, np.stack(paths, axis=1)

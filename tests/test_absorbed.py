@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from apmarkov import absorbed
 from apmarkov.absorbed import (BoundaryPair, boundary_convergence_report,
@@ -19,7 +20,7 @@ from apmarkov.timefns import const, parse_time_function
 
 from oracles import (conditioned_cell_masses, dirichlet_survival_images,
                      dirichlet_survival_spectral, qed_cell_masses,
-                     qed_second_moment)
+                     qed_second_moment, reference_engine)
 
 UNIT = const(1.0, lower=1.0, upper=1.0)
 
@@ -198,28 +199,22 @@ def test_rekeyed_generator_draws_like_a_fresh_one():
         reused.random(3, dtype=np.float32)  # leave a buffered half-word behind
 
 
-def reference_engine(ts, hb, x0, ids, seed, bridge):
-    """The absorbed engine's specification: every path stepped one step at a
-    time to the end of the window; returns tau (one row per boundary) and
-    the whole paths."""
-    hb = np.atleast_2d(hb)
-    draws = [(g.standard_normal(len(ts) - 1), g.random(len(ts) - 1))
-             for g in (make_generator(seed, r) for r in ids)]
-    z, u = (np.array(v) for v in zip(*draws))
-    x = np.full(len(ids), float(x0))
-    tau = np.full((len(hb), len(ids)), np.inf)
-    paths = [x]
-    for k in range(len(ts) - 1):
-        dt = ts[k + 1] - ts[k]
-        xn = x + math.sqrt(dt) * z[:, k]
-        direct = np.abs(xn) >= hb[:, k + 1, None]
-        hit = direct | (bridge & absorbed._bridge_step(x, xn, hb[:, k, None],
-                                                       hb[:, k + 1, None], dt, u[:, k]))
-        new = hit & (tau == np.inf)
-        tau[new] = np.where(direct, ts[k + 1], ts[k] + 0.5 * dt)[new]
-        x = xn
-        paths.append(x)
-    return tau, np.stack(paths, axis=1)
+def _engine_against_reference(ts, hb, ids, seed, bridge, at, make=make_generator):
+    """Run _engine and the per-step reference on the same draws and require
+    tau, alive and states to be exactly equal.  A state is NaN exactly where
+    compaction has dropped the path: in the windows after the one in which
+    the last of the boundaries absorbed it."""
+    tau, paths = reference_engine(ts, hb, 0.05, ids, seed, bridge, make)
+    out = absorbed._engine(ts, hb, 0.05, ids, seed, bridge=bridge, at=at)
+    assert np.array_equal(out["tau"], tau if np.ndim(hb) == 2 else tau[0])
+    assert np.array_equal(out["alive"], out["tau"] == np.inf)
+    hit_step = np.searchsorted(ts, tau) - 1  # tau lies in (ts[k], ts[k + 1]]; inf gives n_steps
+    last_window = hit_step.max(axis=0) // absorbed._WINDOW
+    at = np.asarray(at, dtype=int)
+    dropped = (at > 0) & ((at - 1) // absorbed._WINDOW > last_window[:, None])
+    assert np.array_equal(out["states"], np.where(dropped, np.nan, paths[:, at]),
+                          equal_nan=True)
+    return out["tau"]
 
 
 @pytest.mark.parametrize("bridge", [True, False])
@@ -232,7 +227,7 @@ def test_window_kernel_equals_per_step_reference(bridge, n_steps):
     h = 0.3 + 0.2 * np.sin(7.0 * ts) ** 2
     hb = np.stack([h, h + 0.05, np.full_like(h, 0.6)])
     ids = range(7, 307)
-    tau, paths = reference_engine(ts, hb, 0.05, ids, 3, bridge)
+    tau, paths = reference_engine(ts, hb, 0.05, ids, 3, bridge, make_generator)
     w = absorbed._WINDOW
     at = [r for r in (0, w // 2 + 1, w, 2 * w, n_steps) if r <= n_steps]
     for rows in (slice(None), 0):  # stacked and single boundaries
@@ -250,6 +245,62 @@ def test_window_kernel_equals_per_step_reference(bridge, n_steps):
             assert np.isnan(got[:, -1]).any() == (steps[-1] == n_steps > w)
         assert absorbed._engine(ts, hb[rows], 0.05, ids, 3, bridge=bridge)["states"].shape \
             == (len(ids), 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_boundaries=st.integers(1, 3), stacked=st.booleans(),
+       n_steps=st.one_of(st.integers(1, 200),
+                         st.builds(lambda m, d: m * absorbed._WINDOW + d,
+                                   st.integers(1, 3), st.integers(-1, 1))),
+       uniform=st.booleans(), bridge=st.booleans(),
+       at=st.lists(st.floats(0.0, 1.0), max_size=6),
+       first_id=st.integers(0, 1000), n_paths=st.integers(1, 200),
+       seed=st.integers(0, 2 ** 32), data=st.data())
+def test_window_kernel_equals_per_step_reference_on_random_windows(
+        n_boundaries, stacked, n_steps, uniform, bridge, at, first_id, n_paths, seed, data):
+    # boundaries tight enough that compaction drops paths, on a uniform or a
+    # non-uniform clock (as on the Girsanov route)
+    gen = np.random.default_rng(seed)
+    steps = np.full(n_steps, 1e-3) if uniform else gen.uniform(5e-4, 2e-3, n_steps)
+    ts = 0.3 + np.concatenate([[0.0], np.cumsum(steps)])
+    hb = np.stack([data.draw(st.floats(0.15, 0.6)) + 0.2 * np.sin(gen.uniform(1, 20) * ts) ** 2
+                   for _ in range(n_boundaries)])
+    if not stacked:
+        hb = hb[0]
+    _engine_against_reference(ts, hb, range(first_id, first_id + n_paths), seed, bridge,
+                              [int(f * n_steps) for f in at])
+
+
+def _zeroing_generators():
+    """make_generator, except that every 97th uniform drawn, counted across
+    all the generators it makes, is 0.0."""
+    every, drawn = 97, [0]
+
+    class Zeroing:
+        def __init__(self, gen):
+            self.bit_generator, self.standard_normal = gen.bit_generator, gen.standard_normal
+            self._random = gen.random
+
+        def random(self, size=None, out=None):
+            v = self._random(size, out=out)
+            v[(every - 1 - drawn[0]) % every::every] = 0.0
+            drawn[0] += v.size
+            return v
+
+    return lambda seed, *indexes: Zeroing(make_generator(seed, *indexes))
+
+
+def test_window_kernel_takes_zero_uniforms_as_bridge_candidates(monkeypatch):
+    # u == 0 < p decides a hit wherever p > 0, however far the path is from
+    # the boundary, so the engine evaluates p there too
+    ts = 0.1 + 1e-3 * np.arange(301)
+    hb = np.stack([np.full(301, 0.45), 0.5 + 0.1 * np.sin(9.0 * ts)])
+    ids = range(300)
+    plain = absorbed._engine(ts, hb, 0.05, ids, 11)["tau"]
+    monkeypatch.setattr(absorbed, "make_generator", _zeroing_generators())
+    tau = _engine_against_reference(ts, hb, ids, 11, True, [0, 150, 300],
+                                    make=_zeroing_generators())
+    assert (tau < plain).sum() > 10
 
 
 @settings(max_examples=30, deadline=None)
@@ -293,6 +344,25 @@ def test_survival_memory_does_not_grow_with_n_paths(monkeypatch):
     assert max(peaks) < 1.5
 
 
+def test_engine_batch_peak_is_its_noise_and_a_fixed_window_allowance():
+    # one batch of 500 paths x 2000 steps against two stacked boundaries: the
+    # normals and uniforms take 16 MB; on top of them only the window buffers
+    # (states and their magnitudes, the gathered increments, the boundary x
+    # window masks) and the per-step reach edges, within 1.3 MB
+    pair = default_boundary_pair()
+    ts = _uniform_window(0.0, 2.0, 1e-3)
+    n_paths, n_steps = 500, len(ts) - 1
+    assert len(absorbed._batches(n_paths, n_steps)) == 1
+    noise_mb = 2 * 8 * n_paths * n_steps / 1e6
+    tracemalloc.start()
+    try:
+        survival_flags([pair.h, pair.g], 0.0, ts, seed=1, n_paths=n_paths)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak <= noise_mb + 1.3
+
+
 def test_vector_donor_draw_consumes_the_stream_like_scalar_draws():
     # Fleming-Viot draws all of a step's donors in one call
     vector, scalar = make_generator(9, 2, 0), make_generator(9, 2, 0)
@@ -310,6 +380,19 @@ def test_constant_boundary_weight_is_one():
     gen = np.random.default_rng(0)
     w = gen.standard_normal(11)
     assert girsanov_weight(times, w, h2) == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(1e-3, 1e3), t0=st.floats(-10.0, 10.0),
+       steps=st.lists(st.floats(1e-6, 10.0), max_size=60), n_rows=st.integers(1, 4),
+       data=st.data())
+def test_constant_boundary_weight_is_exactly_one_for_every_path(c, t0, steps, n_rows, data):
+    # h' = h'' = 0: the exponent is a sum of signed zeros and sqrt(c / c) = 1
+    h = const(c, lower=c, upper=c)
+    times = t0 + np.concatenate([[0.0], np.cumsum(steps)])
+    w = data.draw(arrays(float, (n_rows, len(times)), elements=st.floats(-1e6, 1e6)))
+    assert girsanov_weight(times, w[0], h) == 1.0
+    assert np.all(absorbed._weights_matrix(times, w, h) == 1.0)
 
 
 def test_zero_path_weight_is_boundary_ratio():
