@@ -302,10 +302,9 @@ def survival_flags(h, x0: float, ts: np.ndarray, seed: int, n_paths: int,
 
 
 def survival_probability(h, x0: float, dt: float, T: float, n_paths: int,
-                         seed: int, bridge: bool = True,
-                         t_start: float = 0.0) -> SurvivalEstimate:
-    """Monte Carlo estimate of P[tau_h > t_start + T] from (t_start, x0)."""
-    ts = _uniform_window(t_start, T, dt)
+                         seed: int, bridge: bool = True) -> SurvivalEstimate:
+    """Monte Carlo estimate of P[tau_h > T] from (0, x0)."""
+    ts = _uniform_window(0.0, T, dt)
     flags = survival_flags(h, x0, ts, seed, n_paths, bridge=bridge)
     p = float(flags.mean())
     return SurvivalEstimate(p=p, stderr=math.sqrt(max(p * (1.0 - p), 0.0) / n_paths),
@@ -359,27 +358,26 @@ def _weights_matrix(times: np.ndarray, w: np.ndarray, h: TimeFunction) -> np.nda
 
 
 def girsanov_survival_estimate(h: TimeFunction, x0: float, dt: float, T: float,
-                               n_paths: int, seed: int, bridge: bool = True,
-                               t_start: float = 0.0) -> SurvivalEstimate:
-    """P[tau_h > t_start + T] estimated from *unconstrained-rate* Brownian
+                               n_paths: int, seed: int) -> SurvivalEstimate:
+    """P[tau_h > T] estimated from *unconstrained-rate* Brownian
     paths on the transformed clock: survival against the unit boundary times
     the Girsanov weight.
 
     Independent of the direct estimator's discretization, which makes the
     pair a two-route consistency check.
     """
-    ts = _uniform_window(t_start, T, dt)
+    ts = _uniform_window(0.0, T, dt)
     hb = _boundary_nodes(h, ts)
     _check_start(x0, hb[0])
     # clock I(t) = int h^-2 on the window, from h^-2 sampled every dt/2
-    v = np.asarray(h(t_start + 0.5 * dt * np.arange(2 * len(ts) - 1)), dtype=float)
+    v = np.asarray(h(0.5 * dt * np.arange(2 * len(ts) - 1)), dtype=float)
     clock, _ = simpson_profile(1.0 / (v * v), dt)
     ones = np.ones(len(ts))
     w0 = x0 / hb[0]
     # one weight per path, summed once, so the batch split cannot move the sums
     weights = np.zeros(n_paths)  # only the survivors carry a weight
     for ids in _batches(n_paths, len(ts) - 1):
-        out = _engine(clock, ones, w0, ids, seed, bridge=bridge, at=range(len(ts)))
+        out = _engine(clock, ones, w0, ids, seed, at=range(len(ts)))
         vals = weights[ids.start:ids.stop]
         vals[out["alive"]] = _weights_matrix(ts, out["states"][out["alive"]], h)
     p = float(weights.sum()) / n_paths
@@ -429,8 +427,7 @@ class FVResult:
 
 def fleming_viot(h, n_particles: int, dt: float, T: float, seed: int,
                  mesh: Optional[Mesh] = None, x0: float | str = 0.0,
-                 bridge: bool = True, burn_in: float = 0.0,
-                 t_start: float = 0.0) -> FVResult:
+                 burn_in: float = 0.0) -> FVResult:
     """Fleming-Viot approximation of the conditioned ensemble.
 
     Particles diffuse as absorbed Brownian motion; an absorbed particle
@@ -446,7 +443,7 @@ def fleming_viot(h, n_particles: int, dt: float, T: float, seed: int,
     """
     if n_particles < 2:
         raise ValueError(f"need at least 2 particles, got {n_particles}")
-    ts = _uniform_window(t_start, T, dt)
+    ts = _uniform_window(0.0, T, dt)
     hb = _boundary_nodes(h, ts)
     n_steps = len(ts) - 1
     if mesh is None:
@@ -475,10 +472,7 @@ def fleming_viot(h, n_particles: int, dt: float, T: float, seed: int,
         u = diff_gen.random(n_particles)
         xn = pos + math.sqrt(dt_k) * z
         direct = np.abs(xn) >= hb[k + 1]
-        if bridge:
-            absorbed = direct | _bridge_step(pos, xn, hb[k], hb[k + 1], dt_k, u)
-        else:
-            absorbed = direct
+        absorbed = direct | _bridge_step(pos, xn, hb[k], hb[k + 1], dt_k, u)
         n_abs = np.count_nonzero(absorbed)
         if n_abs == n_particles:
             raise SimulationError(
@@ -493,7 +487,7 @@ def fleming_viot(h, n_particles: int, dt: float, T: float, seed: int,
             hist[dead] = hist[donors]
             log.extend(zip([ts[k + 1]] * n_abs, dead.tolist(), donors.tolist()))
         pos = xn
-        if ts[k + 1] - t_start > burn_in + 1e-12:
+        if ts[k + 1] > burn_in + 1e-12:
             flat_hist[cell_base + mesh.cell_index(pos)] += dt_k
             occupied_time += dt_k
 
@@ -578,8 +572,8 @@ class MinorizationEstimate:
 
 def conditional_minorization_estimate(h, s: float, t_values: Sequence[float],
                                       probes: Sequence[float], n_paths: int,
-                                      seed: int, mesh: Mesh, dt: float = 1e-3,
-                                      bridge: bool = True) -> MinorizationEstimate:
+                                      seed: int, mesh: Mesh,
+                                      dt: float = 1e-3) -> MinorizationEstimate:
     """Estimate c1 and nu with conditioned one-window transition histograms.
 
     For each probe x and window length t in t_values, the law of X_{s+t}
@@ -594,8 +588,7 @@ def conditional_minorization_estimate(h, s: float, t_values: Sequence[float],
     survivors = []
     for j, (x, t) in enumerate((x, t) for t in t_values for x in probes):
         law, n_surv = conditioned_endpoint_law(h, x, dt, t, n_paths,
-                                               seed + j, mesh, bridge=bridge,
-                                               t_start=s)
+                                               seed + j, mesh, t_start=s)
         survivors.append(n_surv)
         p = law.weights
         se = np.sqrt(p * (1.0 - p) / n_surv)
@@ -628,8 +621,7 @@ class SurvivalGapRow:
 
 def boundary_convergence_report(pair: BoundaryPair, s: float, t: float, x: float,
                                 k_values: Sequence[int], n_paths: int,
-                                dt: float = 1e-3, seed: int = 0,
-                                bridge: bool = True) -> List[SurvivalGapRow]:
+                                dt: float = 1e-3, seed: int = 0) -> List[SurvivalGapRow]:
     """Per-k gap |P_{s+k gamma, x}[tau_h > t+k gamma] - P_{s,x}[tau_g > t]|
     and the sandwich probability P[tau_h <= t+k gamma < tau_g].
 
@@ -646,7 +638,7 @@ def boundary_convergence_report(pair: BoundaryPair, s: float, t: float, x: float
     ts = _uniform_window(s, t - s, dt)
     shifted = [lambda u, b=b, k=k: b(u + k * pair.gamma)
                for k in k_values for b in (pair.h, pair.g)]
-    flags = survival_flags(shifted, x, ts, seed, n_paths, bridge=bridge)
+    flags = survival_flags(shifted, x, ts, seed, n_paths)
     rows = []
     for k, flags_h, flags_g in zip(k_values, flags[0::2], flags[1::2]):
         diff = flags_g.astype(float) - flags_h.astype(float)

@@ -158,11 +158,9 @@ def suggest_compact_set(kernel: GaussianKernel, s: float, t1: float,
 
 
 def check_growth(kernel: GaussianKernel, psi: Callable[[np.ndarray], np.ndarray],
-                 s: float, t_values: Sequence[float],
-                 mesh: Optional[Mesh] = None) -> float:
-    """sup over the mesh and t in t_values of (P_{s,s+t} psi) / psi."""
-    mesh = mesh or default_certificate_mesh()
-    x = mesh.centers()
+                 s: float, t_values: Sequence[float]) -> float:
+    """sup over the default mesh and t in t_values of (P_{s,s+t} psi) / psi."""
+    x = default_certificate_mesh().centers()
     psi_x = np.asarray(psi(x), dtype=float)
     worst = -math.inf
     for t in t_values:
@@ -232,10 +230,10 @@ def _minorizing_cell_masses(a: float, b: float, mesh: Mesh) -> np.ndarray:
 
 def gaussian_class_minorization(a: float, b_minus: float, b_plus: float,
                                 mesh: Optional[Mesh] = None,
-                                n_members: int = 1000, seed: int = 0,
-                                n0: int = 1, t1: float = 1.0) -> MinorizationCertificate:
+                                n_members: int = 1000, seed: int = 0) -> MinorizationCertificate:
     """Common minorization of all Normal(m, sigma^2) with |m| <= a and
-    b_minus <= sigma <= b_plus.
+    b_minus <= sigma <= b_plus, certified for one window of length 1
+    (n0 = 1, t1 = 1).
 
     Every class density dominates f(x)/(sqrt(2 pi) b_plus) pointwise, so
     nu = f / int f works with c = (int f)/(sqrt(2 pi) b_plus).  The claim is
@@ -276,7 +274,7 @@ def gaussian_class_minorization(a: float, b_minus: float, b_plus: float,
         d /= math.sqrt(2.0 * math.pi) * sd
         d -= floor
         d.min(axis=1, out=margins[lo:lo + _MEMBER_BLOCK])
-    return MinorizationCertificate(c=c, nu=nu, n0=n0, t1=t1, a=a,
+    return MinorizationCertificate(c=c, nu=nu, n0=1, t1=1.0, a=a,
                                    b_minus=b_minus, b_plus=b_plus,
                                    n_members_checked=n_members,
                                    n_violations=int(np.count_nonzero(margins < -1e-12)),
@@ -328,13 +326,12 @@ def doeblin_from_minorization(cert: MinorizationCertificate,
 def contraction_rate_fit(propagate: Callable[[MeshMeasure, float, float], MeshMeasure],
                          mu1: MeshMeasure, mu2: MeshMeasure,
                          psi: Callable[[np.ndarray], np.ndarray],
-                         horizons: Sequence[float], s: float = 0.0
-                         ) -> Tuple[float, float, float]:
+                         horizons: Sequence[float]) -> Tuple[float, float, float]:
     """Least-squares fit of log psi-distance against the horizon.
 
-    ``propagate(mu, s, t)`` pushes a measure from time s to t.  Returns
-    (C', kappa, R^2) for the model distance(t) ~ C' (mu1(psi) + mu2(psi))
-    exp(-kappa (t - s)).  Horizons where the distance underflows are
+    ``propagate(mu, s, t)`` pushes a measure from time s to t; here s = 0.
+    Returns (C', kappa, R^2) for the model distance(t) ~ C' (mu1(psi) +
+    mu2(psi)) exp(-kappa t).  Horizons where the distance underflows are
     truncated; identical inputs yield the kappa = +inf sentinel.
     """
     horizons = sorted(horizons)
@@ -342,7 +339,7 @@ def contraction_rate_fit(propagate: Callable[[MeshMeasure, float, float], MeshMe
         raise ValueError("need at least 3 horizons")
     dists = []
     for t in horizons:
-        d = psi_distance(propagate(mu1, s, t), propagate(mu2, s, t), psi)
+        d = psi_distance(propagate(mu1, 0.0, t), propagate(mu2, 0.0, t), psi)
         dists.append(d)
     ts = np.asarray(horizons, dtype=float)
     ds = np.asarray(dists, dtype=float)
@@ -350,8 +347,8 @@ def contraction_rate_fit(propagate: Callable[[MeshMeasure, float, float], MeshMe
     if keep.sum() < 3:
         return 0.0, math.inf, 1.0
     ts, ds = ts[keep], ds[keep]
-    slope, intercept = np.polyfit(ts - s, np.log(ds), 1)
-    fitted = slope * (ts - s) + intercept
+    slope, intercept = np.polyfit(ts, np.log(ds), 1)
+    fitted = slope * ts + intercept
     ss_res = float(np.sum((np.log(ds) - fitted) ** 2))
     ss_tot = float(np.sum((np.log(ds) - np.log(ds).mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0

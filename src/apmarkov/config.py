@@ -109,6 +109,8 @@ def _library_rule(name: str, rule, *args):
         return rule(*args)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"{name}: an expression is too deep to evaluate") from None
 
 
 def _grid_steps(params: dict, name: str, label: str, span: float) -> int:

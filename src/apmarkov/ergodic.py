@@ -199,12 +199,11 @@ class ASReport:
 
 
 def run_as_experiment(spec: OUSpec, f: Observable, initial: InitialSampler,
-                      t_max: float, dt: float = 1e-2, seed: int = 0,
-                      use_auxiliary: bool = False) -> ASReport:
+                      t_max: float, dt: float = 1e-2, seed: int = 0) -> ASReport:
     """One path run to t_max; deviations reported at default_checkpoints(t_max)."""
     checkpoints = default_checkpoints(t_max)
     limit = limiting_value(spec, f)
-    avgs = ergodic_time_averages(spec.drift(use_auxiliary), f, initial,
+    avgs = ergodic_time_averages(spec.lam, f, initial,
                                  checkpoints, dt, 1, seed)
     averages = avgs[0]
     deviations = np.abs(averages - limit)

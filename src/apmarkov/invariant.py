@@ -71,11 +71,11 @@ def invariant_gaussian(spec: OUSpec) -> Tuple[float, float]:
     return 0.0, skeleton_fixed_point_variance(SkeletonMap.from_spec(spec))
 
 
-def default_skeleton_mesh(spec: OUSpec, n_cells: int = 400, n_sd: float = 6.0) -> Mesh:
-    """Mesh truncated at +- n_sd standard deviations of the analytic invariant."""
+def default_skeleton_mesh(spec: OUSpec) -> Mesh:
+    """400 cells truncated at +- 6 standard deviations of the analytic invariant."""
     _, var = invariant_gaussian(spec)
-    half = n_sd * math.sqrt(var) if var > 0 else 1.0
-    return Mesh(x_min=-half, x_max=half, n_cells=n_cells)
+    half = 6.0 * math.sqrt(var) if var > 0 else 1.0
+    return Mesh(x_min=-half, x_max=half, n_cells=400)
 
 
 def _folded_cell_masses(m: float, sigma: float, x: np.ndarray, mesh: Mesh) -> np.ndarray:

@@ -73,11 +73,10 @@ class MeshMeasure:
         return MeshMeasure(mesh, mass / total)
 
     @staticmethod
-    def from_density(mesh: Mesh, density: Callable[[np.ndarray], np.ndarray],
-                     n_sub: int = 8) -> "MeshMeasure":
-        """Discretize a density by per-cell midpoint-composite integration."""
+    def from_density(mesh: Mesh, density: Callable[[np.ndarray], np.ndarray]) -> "MeshMeasure":
+        """Discretize a density by 8-point midpoint-composite integration per cell."""
         e = mesh.edges()
-        offs = (np.arange(n_sub) + 0.5) / n_sub * mesh.width
+        offs = (np.arange(8) + 0.5) / 8 * mesh.width
         pts = e[:-1, None] + offs[None, :]
         mass = np.asarray(density(pts), dtype=float).mean(axis=1) * mesh.width
         return MeshMeasure.from_unnormalized(mesh, mass)

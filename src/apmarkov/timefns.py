@@ -13,18 +13,24 @@ Textual grammar (EBNF), used by :func:`parse_time_function`::
 
     expr    = term , { ("+" | "-") , term } ;
     term    = factor , { ("*" | "/") , factor } ;
-    factor  = unary , [ ("^" | "**") , factor ] ;   (* right associative *)
-    unary   = "-" , unary | primary ;
+    factor  = "-" , factor
+            | primary , [ ("^" | "**") , factor ] ;   (* right associative *)
     primary = NUMBER | "t" | "pi"
             | ("sin" | "cos" | "exp") , "(" , expr , ")"
             | "(" , expr , ")" ;
 
-Exponents must be constant expressions (``h^2``, ``t^2``; never ``2^t``).
+This is Python's expression grammar with ``^`` for ``**``, so Python's own
+parser (``ast``) reads the text and a walk keeps only these node kinds.
+NUMBER is an ASCII decimal literal.  Exponents must be constant expressions
+(``h^2``, ``t^2``; never ``2^t``).
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import re
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -263,8 +269,9 @@ class TimeFunction:
     """Scalar function of time with declared bounds and optional period.
 
     ``lower`` and ``upper`` are bounds the user asserts for t >= 0; they are
-    spot-checked (not proved) by :meth:`check_bounds`.  ``period`` declares
-    gamma-periodicity, checked by :meth:`check_periodicity`.
+    spot-checked (not proved) on 2001 points of [0, 50] by :meth:`check_bounds`.
+    ``period`` declares gamma-periodicity, checked on the same points by
+    :meth:`check_periodicity`.
     """
 
     root: _Node
@@ -289,15 +296,15 @@ class TimeFunction:
         return self.source or self.root.fmt()
 
     # -- declared-invariant spot checks ------------------------------------
-    def check_bounds(self, t_max: float = 50.0, n: int = 2001) -> bool:
-        ts = np.linspace(0.0, t_max, n)
+    def check_bounds(self) -> bool:
+        ts = np.linspace(0.0, 50.0, 2001)
         vals = self(ts)
         return bool(np.all(vals >= self.lower - 1e-12) and np.all(vals <= self.upper + 1e-12))
 
-    def check_periodicity(self, t_max: float = 50.0, n: int = 2001) -> bool:
+    def check_periodicity(self) -> bool:
         if self.period is None:
             return True
-        ts = np.linspace(0.0, t_max, n)
+        ts = np.linspace(0.0, 50.0, 2001)
         a, b = self(ts), self(ts + self.period)
         return bool(np.all(np.abs(b - a) <= 1e-12 * (1.0 + np.abs(a))))
 
@@ -313,136 +320,61 @@ def const(value: float, **kw) -> TimeFunction:
 # ---------------------------------------------------------------------------
 
 _FUNCS = {"sin": _Sin, "cos": _Cos, "exp": _Exp}
+_BINOPS = {ast.Add: _Add, ast.Sub: _Sub, ast.Mult: _Mul, ast.Div: _Div}
+_NUMBER = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+# leading zeros of a number, which Python rejects in integer literals (007)
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=[0-9])")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _read(text: str) -> _Node:
+    """The grammar's tree for ``text``: Python reads the expression, with
+    ``^`` for ``**``, and the walk keeps only the grammar's node kinds."""
+    src = " ".join(text.split())  # Python rejects a leading blank or a newline
+    # printable ASCII (col_offset counts bytes), with no comment and no comma
+    if not (src.isascii() and src.isprintable()) or "#" in src or "," in src:
+        raise TimeFunctionError(f"unexpected character in {text!r}")
+    src = _LEADING_ZEROS.sub("", src.replace("^", "**"))
 
-    def error(self, msg: str) -> TimeFunctionError:
-        return TimeFunctionError(f"{msg} at position {self.pos} in {self.text!r}")
+    def walk(node) -> _Node:
+        if isinstance(node, ast.BinOp):
+            left, right = walk(node.left), walk(node.right)
+            if isinstance(node.op, ast.Pow):
+                if not isinstance(right, _Const):
+                    raise TimeFunctionError(f"exponent must be a constant in {text!r}")
+                return _Pow(left, right.value)
+            if type(node.op) in _BINOPS:
+                return _BINOPS[type(node.op)](left, right)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return _mul(_Const(-1.0), walk(node.operand))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in _FUNCS and len(node.args) == 1 and not node.keywords
+              # the name itself, not a parenthesized one as in (sin)(t)
+              and src[node.func.end_col_offset:].lstrip().startswith("(")):
+            return _FUNCS[node.func.id](walk(node.args[0]))
+        elif isinstance(node, ast.Name) and node.id in ("t", "pi"):
+            return _Var() if node.id == "t" else _Const(math.pi)
+        elif isinstance(node, ast.Constant):
+            literal = src[node.col_offset:node.end_col_offset]
+            if _NUMBER.fullmatch(literal):
+                return _Const(float(literal))
+        raise TimeFunctionError(f"{ast.get_source_segment(src, node)!r} is not in the "
+                                f"grammar, at position {node.col_offset} in {src!r}")
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def accept(self, s: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(s, self.pos):
-            self.pos += len(s)
-            return True
-        return False
-
-    def parse(self) -> _Node:
-        node = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("trailing input")
-        return node
-
-    def expr(self) -> _Node:
-        node = self.term()
-        while True:
-            if self.accept("+"):
-                node = _Add(node, self.term())
-            elif self.peek() == "-":
-                self.accept("-")
-                node = _Sub(node, self.term())
-            else:
-                return node
-
-    def term(self) -> _Node:
-        node = self.factor()
-        while True:
-            # '**' belongs to the power operator, not to '*'
-            self.skip_ws()
-            if self.text.startswith("**", self.pos):
-                raise self.error("unexpected '**'")
-            if self.accept("*"):
-                node = _Mul(node, self.factor())
-            elif self.accept("/"):
-                node = _Div(node, self.factor())
-            else:
-                return node
-
-    def factor(self) -> _Node:
-        # unary minus binds looser than the power operator: -t^2 == -(t^2)
-        if self.accept("-"):
-            return _mul(_Const(-1.0), self.factor())
-        node = self.primary()
-        self.skip_ws()
-        if self.text.startswith("**", self.pos):
-            self.pos += 2
-            return self.pow_node(node)
-        if self.accept("^"):
-            return self.pow_node(node)
-        return node
-
-    def pow_node(self, base: _Node) -> _Node:
-        exponent = self.factor()
-        if not isinstance(exponent, _Const):
-            raise self.error("exponent must be a constant")
-        return _Pow(base, exponent.value)
-
-    def primary(self) -> _Node:
-        self.skip_ws()
-        for name, cls in _FUNCS.items():
-            if self.text.startswith(name, self.pos) and not self._ident_continues(self.pos + len(name)):
-                self.pos += len(name)
-                if not self.accept("("):
-                    raise self.error(f"expected '(' after {name}")
-                arg = self.expr()
-                if not self.accept(")"):
-                    raise self.error("expected ')'")
-                return cls(arg)
-        if self.text.startswith("pi", self.pos) and not self._ident_continues(self.pos + 2):
-            self.pos += 2
-            return _Const(math.pi)
-        if self.text.startswith("t", self.pos) and not self._ident_continues(self.pos + 1):
-            self.pos += 1
-            return _Var()
-        if self.accept("("):
-            node = self.expr()
-            if not self.accept(")"):
-                raise self.error("expected ')'")
-            return node
-        return self.number()
-
-    def _ident_continues(self, i: int) -> bool:
-        return i < len(self.text) and (self.text[i].isalnum() or self.text[i] == "_")
-
-    def number(self) -> _Node:
-        self.skip_ws()
-        start = self.pos
-        seen_e = False
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c.isdigit() or c == ".":
-                self.pos += 1
-            elif c in "eE" and not seen_e and self.pos > start:
-                seen_e = True
-                self.pos += 1
-                if self.pos < len(self.text) and self.text[self.pos] in "+-":
-                    self.pos += 1
-            else:
-                break
-        if self.pos == start:
-            raise self.error("expected a number, 't', 'pi' or function")
-        try:
-            return _Const(float(self.text[start:self.pos]))
-        except ValueError:
-            raise self.error(f"bad number {self.text[start:self.pos]!r}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # 1in t warns, then fails the walk
+            return walk(ast.parse(src, mode="eval").body)
+    except SyntaxError as exc:
+        raise TimeFunctionError(f"{exc.msg} at position {(exc.offset or 1) - 1} "
+                                f"in {src!r}") from None
+    except (RecursionError, MemoryError):  # too deep to walk, or for Python's parser
+        raise TimeFunctionError(f"expression too deep in {text[:40]!r}...") from None
 
 
 def parse_time_function(text: str, lower: float = -math.inf, upper: float = math.inf,
                         period: Optional[float] = None) -> TimeFunction:
     """Parse the textual grammar into a TimeFunction with declared bounds."""
-    root = _Parser(text).parse()
+    root = _read(text)
     return TimeFunction(root, lower=lower, upper=upper, period=period, source=text.strip())
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import apmarkov
-from apmarkov import ergodic
+from apmarkov import absorbed, ergodic
 from apmarkov.absorbed import BoundaryPair
 from apmarkov.cli import _write_csv, main
 from apmarkov.config import (ConfigError, config_hash, parse_config,
@@ -425,6 +425,67 @@ def test_cli_runs_every_initial_kind_each_experiment_takes(tmp_path):
                 _qsd_doc(initial={"kind": "point", "x": 0.5}, boundary="g")):
         cfg = write(tmp_path, doc)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+_MINORIZATION_DOC = {"experiment": "minorization", "seed": 2,
+                     "params": {"a": 0.5, "b_minus": 1.0, "b_plus": 2.0, "n_members": 20,
+                                "mesh": {"x_min": -6.0, "x_max": 6.0, "n_cells": 41}}}
+
+
+@pytest.mark.parametrize("doc", [
+    ergodic_doc(observable="x2", t_values=[1.0, 2.0], n_replicas=6), _drift_doc(),
+    _MINORIZATION_DOC, _qsd_doc(n_particles=20), _survival_doc(k_values=[0, 1]),
+    _ap_doc(),
+], ids=lambda doc: doc["experiment"])
+def test_cli_artifacts_do_not_depend_on_threads_or_batches(tmp_path, monkeypatch, doc):
+    # 200 steps per replica under a cap of 400 replica-steps: 3 batches of 2
+    monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", 400)
+    cfg = write(tmp_path, doc)
+
+    def artifacts(name, *flags):
+        out = tmp_path / name
+        assert main(["run", "--config", str(cfg), "--out", str(out), *flags]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.jsonl"}
+
+    serial = artifacts("threads1", "--threads", "1")
+    assert serial and artifacts("threads3", "--threads", "3") == serial
+    if doc["experiment"] == "survival":  # 30 steps a path, 16 paths a batch
+        monkeypatch.setattr(absorbed, "_MAX_BATCH_ELEMS", 16 * 30)
+        assert len(absorbed._batches(doc["params"]["n_paths"], 30)) >= 3
+        assert artifacts("batched") == serial
+
+
+def _deep_ap_doc(n_terms):
+    # 1 + 0*t + ... + 0*t: a left-leaning sum n_terms deep, equal to 1
+    model = dict(OU_MODEL, **{"lambda": {"expr": "1" + " + 0*t" * n_terms,
+                                         "lower": 0.5, "upper": 1.5}})
+    return dict(_ap_doc(k_values=[0]), model=model)
+
+
+def test_cli_deep_expression_runs_or_exits_2(tmp_path, capsys):
+    # wherever Python's recursion limit falls, a deep expression either runs or
+    # is a configuration error naming the expression; it never escapes
+    assert main(["run", "--config", str(write(tmp_path, _deep_ap_doc(400))),
+                 "--out", str(tmp_path / "out")]) == 0
+    codes = set()
+    for n_terms in range(900, 1101):
+        cfg = write(tmp_path, _deep_ap_doc(n_terms))
+        codes.add(main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]))
+    assert codes <= {0, 2} and 2 in codes
+    assert "model" in capsys.readouterr().err
+
+
+def test_cli_deep_expression_exit_2_without_traceback(tmp_path):
+    cfg = write(tmp_path, _deep_ap_doc(5000))
+    src = str(Path(apmarkov.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "apmarkov.cli", "run", "--config", str(cfg),
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 2
+    assert "configuration error: model.lambda.expr" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_integer_past_the_digit_limit_exit_2(tmp_path, capsys):

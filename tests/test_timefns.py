@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apmarkov.timefns import (TimeFunction, TimeFunctionError, TimeGrid, const,
-                              derivative, parse_time_function, simpson_profile)
+from apmarkov.timefns import (TimeFunction, TimeFunctionError, TimeGrid, _Add, _Const,
+                              _Cos, _Div, _Exp, _Mul, _Pow, _Sin, _Sub, _Var, _mul,
+                              const, derivative, parse_time_function, simpson_profile)
 
 RNG = np.random.default_rng(2024)
 
@@ -39,6 +41,9 @@ def test_parse_power_forms():
 
 @pytest.mark.parametrize("bad", [
     "1 +", "sin(t", "t t", "sin", "2 ** t", "t^(1+t)", "foo(t)", "", "1..2",
+    # Python reads these, but they are not in the grammar
+    "#", "t # note", "\u0663", "0x10", "1_0", "1j", "True", "'a'", "t.real", "t[0]",
+    "t < 1", "sin(t, t)", "sin(t,)", "sin(x=t)", "(sin)(t)", "+t", "1in t", "t\x00",
 ])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(TimeFunctionError):
@@ -55,32 +60,92 @@ def test_declared_bounds_and_period_checks():
     assert not not_periodic.check_periodicity()
 
 
-# -- derivatives -------------------------------------------------------------
+# (text, tree) pairs of the grammar: numbers, t and pi under left-associative
+# chains of + - * / (precedence by the grammar), unary minus, sin/cos/exp and
+# constant powers.  The tree is the one the grammar defines: raw binary nodes,
+# unary minus as _mul(-1, x), pi and numbers as constants
+_BINARY = {"+": _Add, "-": _Sub, "*": _Mul, "/": _Div}
+_NUMBERS = st.one_of(st.floats(0.0, 5.0).map(repr), st.integers(0, 9).map(str),
+                     st.sampled_from(["007", "1e-05", ".5", "5.", "2E+1"]))
+_LEAVES = st.one_of(st.just(("t", _Var())), st.just(("pi", _Const(math.pi))),
+                    _NUMBERS.map(lambda text: (text, _Const(float(text)))))
+# exponent texts with their values
+_EXPONENTS = st.sampled_from([("2", 2.0), ("3", 3.0), ("0.5", 0.5), ("-1", -1.0),
+                              ("-1.5", -1.5), ("pi", math.pi), ("-(2)", -2.0)])
 
-# expressions of the grammar: numbers, t and pi under the binary operators,
-# unary minus, sin/cos/exp and constant powers
-_LEAVES = st.one_of(st.just("t"), st.just("pi"),
-                    st.floats(0.0, 5.0).map(repr), st.integers(0, 9).map(str))
+
+def _chain(pairs, ops):
+    text, tree = pairs[0]
+    for op, (t, node) in zip(ops, pairs[1:]):
+        text, tree = f"{text} {op} {t}", _BINARY[op](tree, node)
+    return text, tree
+
+
+def _chains(atoms, ops):
+    return st.lists(atoms, min_size=1, max_size=3).flatmap(
+        lambda pairs: st.lists(st.sampled_from(ops), min_size=len(pairs) - 1,
+                               max_size=len(pairs) - 1).map(lambda o: _chain(pairs, o)))
 
 
 def _compound(inner):
+    atom = inner.map(lambda p: (f"({p[0]})", p[1]))
+    funcs = {"sin": _Sin, "cos": _Cos, "exp": _Exp}
     return st.one_of(
-        st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map(
-            lambda p: f"({p[0]} {p[1]} {p[2]})"),
-        st.tuples(st.sampled_from(["sin", "cos", "exp", "-"]), inner).map(
-            lambda p: f"{p[0]}({p[1]})"),
-        st.tuples(inner, st.sampled_from(["^", "**"]),
-                  st.sampled_from(["2", "3", "0.5", "-1", "-1.5"])).map(
-            lambda p: f"({p[0]}){p[1]}{p[2]}"))
+        _chains(_chains(atom, ["*", "/"]), ["+", "-"]),
+        st.tuples(st.sampled_from(sorted(funcs)), inner).map(
+            lambda p: (f"{p[0]}({p[1][0]})", funcs[p[0]](p[1][1]))),
+        atom.map(lambda p: (f"-{p[0]}", _mul(_Const(-1.0), p[1]))),
+        st.tuples(atom, st.sampled_from(["^", "**"]), _EXPONENTS).map(
+            lambda p: (f"{p[0][0]}{p[1]}{p[2][0]}", _Pow(p[0][1], p[2][1]))),
+        # unary minus binds looser than the power: -(x)^2 is -((x)^2)
+        st.tuples(atom, _EXPONENTS).map(
+            lambda p: (f"-{p[0][0]}^{p[1][0]}", _mul(_Const(-1.0), _Pow(p[0][1], p[1][1])))))
 
 
-_EXPRESSIONS = st.recursive(_LEAVES, _compound, max_leaves=12)
+_GRAMMAR = st.recursive(_LEAVES, _compound, max_leaves=12)
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=_EXPRESSIONS)
-def test_format_parse_round_trip(text):
-    f = parse_time_function(text)
+@given(pair=_GRAMMAR, blank=st.sampled_from(["", " ", "\n", " \t\n "]))
+def test_parser_builds_the_grammar_tree(pair, blank):
+    text, tree = pair
+    assert parse_time_function(blank + text + blank).root == tree
+
+
+@pytest.mark.parametrize("text,tree", [
+    ("  t", _Var()),
+    ("t\n+\n1", _Add(_Var(), _Const(1.0))),
+    ("007", _Const(7.0)),
+    ("t^02", _Pow(_Var(), 2.0)),
+    ("1e-05", _Const(1e-05)),
+    (".5", _Const(0.5)),
+    ("5.", _Const(5.0)),
+])
+def test_parse_accepts_blanks_and_python_number_forms(text, tree):
+    assert parse_time_function(text).root == tree
+
+
+def test_parse_records_no_warning():
+    # Python warns on 1in t ("invalid decimal literal") before the walk rejects it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TimeFunctionError):
+            parse_time_function("1in t")
+    assert caught == []
+
+
+@pytest.mark.parametrize("deep", ["1" + " + t" * 1500, "-" * 5000 + "t",
+                                  "-" * 100_000 + "t", "(" * 300 + "t" + ")" * 300],
+                         ids=["walk", "python-recursion", "python-memory", "parentheses"])
+def test_parse_too_deep_is_a_time_function_error(deep):
+    with pytest.raises(TimeFunctionError):
+        parse_time_function(deep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_GRAMMAR)
+def test_format_parse_round_trip(pair):
+    f = parse_time_function(pair[0])
     f_tree = TimeFunction(f.root)  # formats its node tree, not the source text
     again = parse_time_function(f_tree.fmt())
     assert again.root == f.root
@@ -88,6 +153,8 @@ def test_format_parse_round_trip(text):
     with np.errstate(all="ignore"):
         assert np.array_equal(again(ts), f(ts), equal_nan=True)
 
+
+# -- derivatives -------------------------------------------------------------
 
 def test_derivative_of_constant_is_zero():
     assert derivative(const(3.7), 1.2, order=1) == 0.0
