@@ -27,7 +27,7 @@ import numpy as np
 
 from .measures import Mesh, MeshMeasure, tv_distance
 from .paths import SimulationError
-from .rng import make_generator, rekey
+from .rng import counter_uniform, make_generator, rekey, substream_key
 from .timefns import TimeFunction, grid_steps, simpson_profile
 
 __all__ = [
@@ -53,7 +53,7 @@ __all__ = [
     "QEDComparison",
 ]
 
-# normals per engine batch (plus as many uniforms): sets peak memory
+# normals per engine batch, 8 MB: sets peak memory
 _MAX_BATCH_ELEMS = int(1e6)
 # steps per step-major noise window; the working set is compacted between windows
 _WINDOW = 64
@@ -168,14 +168,15 @@ def _engine(ts: np.ndarray, hb: np.ndarray, x0: float, ids: range, seed: int,
     """Simulate one batch of absorbed paths on node times ts against one
     boundary (hb of shape (n_steps+1,)) or a stack of boundaries (shape
     (n_boundaries, n_steps+1)), all from a single noise pass.  Path i draws
-    from substream (seed, ids[i]).
+    its normals from substream (seed, ids[i]); its bridge uniforms are
+    counter_uniform's, evaluated only at bridge candidates, never stored.
 
     Returns tau (+inf where the path survives the whole window) and alive,
     one row per stacked boundary, and states, of shape (n_paths, len(at)):
     the path states at the step indexes in ``at``.  The path state is shared
-    by all boundaries and the noise is drawn for every path before stepping,
-    so noise consumption never depends on the boundary (this is what makes
-    common-random-number boundary comparisons exact).
+    by all boundaries, the normals are drawn for every path before stepping
+    and u depends only on (seed, path, step), so the noise never depends on
+    the boundary (which makes common-random-number comparisons exact).
 
     Only the paths alive under some boundary are stepped: the working set is
     compacted between windows of steps, and states are NaN for the paths it
@@ -188,13 +189,10 @@ def _engine(ts: np.ndarray, hb: np.ndarray, x0: float, ids: range, seed: int,
     n = len(ids)
     n_steps = len(ts) - 1
     z = np.empty((n, n_steps))
-    u = np.empty((n, n_steps)) if bridge else None
     gen = make_generator(seed)  # re-keyed to substream (seed, r) for each path
-    for i, r in enumerate(ids):
+    for r, zr in zip(ids, z):
         rekey(gen, seed, r)
-        gen.standard_normal(out=z[i])
-        if bridge:  # the uniforms follow the normals on the stream
-            gen.random(out=u[i])
+        gen.standard_normal(out=zr)
     rows = np.arange(n)  # working set: paths alive under some boundary
     x = np.full(n, float(x0))
     alive = np.ones((len(hb), n), dtype=bool)
@@ -203,10 +201,10 @@ def _engine(ts: np.ndarray, hb: np.ndarray, x0: float, ids: range, seed: int,
     states = np.full((n, len(at)), np.nan)
     states[:, at == 0] = x0
     dts = np.diff(ts)
-    if bridge:  # the reach edges of _bridge_step, and whether its u == 0 rule applies
+    if bridge:  # the paths' keys for their uniforms, and the reach edges of _bridge_step
+        keys = substream_key(seed, np.array(ids, dtype=np.uint64))
         reach = _BRIDGE_REACH * np.sqrt(dts)
         lo, hi = hb[:, :-1] - reach, hb[:, 1:] - reach
-        zero_u = u.min(initial=1.0) == 0.0
     buf = np.empty((2, (_WINDOW + 1) * n))  # the window's states and their magnitudes
     for k0 in range(0, n_steps, _WINDOW):
         k1 = min(k0 + _WINDOW, n_steps)
@@ -225,17 +223,16 @@ def _engine(ts: np.ndarray, hb: np.ndarray, x0: float, ids: range, seed: int,
         np.abs(X, out=A)
         direct = A[1:] >= hb[:, k0 + 1:k1 + 1, None]  # (n_boundaries, window steps, working set)
         hit = direct & alive[:, None, :]
-        if bridge:  # p only where _bridge_step would evaluate it and it can decide a hit
+        if bridge:  # p only within reach (elsewhere p < 2^-53 <= u) and where it decides a hit
             cand = (A[:-1] > lo[:, k0:k1, None]) | (A[1:] > hi[:, k0:k1, None])
-            if zero_u:
-                cand |= u[rows, k0:k1].T == 0.0
             cand &= alive[:, None, :] > direct  # alive and not a direct hit
             flat = X.reshape(-1)
             for b, c in enumerate(map(np.flatnonzero, cand)):
                 j, i = np.divmod(c, len(rows))
                 k = k0 + j
                 hit[b].reshape(-1)[c] = _crossing(flat[c], flat[c + len(rows)], hb[b, k],
-                                                  hb[b, k + 1], dts[k], u[rows[i], k])
+                                                  hb[b, k + 1], dts[k],
+                                                  counter_uniform(keys[rows[i]], k))
         b, i = np.nonzero(hit.any(axis=1))
         if b.size:  # first hit of each newly absorbed (boundary, path)
             j = hit[b, :, i].argmax(axis=1)

@@ -94,6 +94,8 @@ def _parse_timefn(obj: Any, where: str) -> TimeFunction:
     _numbers(obj, where, ("lower", "upper"))
     if obj.get("period") is not None:  # null declares no period
         _number(obj["period"], f"{where}.period")
+    if not isinstance(obj["expr"], str):
+        raise ConfigError(f"{where}.expr must be a string, got {obj['expr']!r}")
     try:
         return parse_time_function(obj["expr"], lower=float(obj.get("lower", -math.inf)),
                                    upper=float(obj.get("upper", math.inf)),
@@ -102,15 +104,15 @@ def _parse_timefn(obj: Any, where: str) -> TimeFunction:
         raise ConfigError(f"{where}.expr: {exc}") from exc
 
 
-def _library_rule(name: str, rule, *args):
+def _library_rule(name: str, rule, *args, fields=()):
     """rule(*args), one of the library's own checks, with its ValueError
-    re-raised as a ConfigError naming the field."""
+    re-raised as a ConfigError naming the field: ``name``, or the field of
+    the (field, time function) pair in ``fields`` too deep to evaluate."""
     try:
         return rule(*args)
     except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-    except RecursionError:
-        raise ConfigError(f"{name}: an expression is too deep to evaluate") from None
+        deep = [f for f, fn in fields if getattr(exc, "fn", None) is fn]
+        raise ConfigError(f"{deep[0] if deep else name}: {exc}") from exc
 
 
 def _grid_steps(params: dict, name: str, label: str, span: float) -> int:
@@ -134,19 +136,16 @@ def _parse_model(obj: Any):
     kind = obj["kind"]
     if kind == "ou":
         _require_keys(obj, "model", ("kind", "lambda", "g", "gamma"))
-        model = OUSpec(lam=_parse_timefn(obj["lambda"], "model.lambda"),
-                       g=_parse_timefn(obj["g"], "model.g"),
-                       gamma=_positive(obj, "model", "gamma"))
+        fns = {k: _parse_timefn(obj[k], f"model.{k}") for k in ("lambda", "g")}
+        model = OUSpec(lam=fns["lambda"], g=fns["g"], gamma=_positive(obj, "model", "gamma"))
     elif kind == "boundary":
         _require_keys(obj, "model", ("kind", "h", "g", "gamma"), ("n0",))
-        model = BoundaryPair(h=_parse_timefn(obj["h"], "model.h"),
-                             g=_parse_timefn(obj["g"], "model.g"),
-                             gamma=_positive(obj, "model", "gamma"),
-                             n0=_integer_in(obj["n0"], "model.n0", 1)
-                             if "n0" in obj else 1)
+        fns = {k: _parse_timefn(obj[k], f"model.{k}") for k in ("h", "g")}
+        model = BoundaryPair(h=fns["h"], g=fns["g"], gamma=_positive(obj, "model", "gamma"),
+                             n0=_integer_in(obj["n0"], "model.n0", 1) if "n0" in obj else 1)
     else:
         raise ConfigError(f"model.kind must be 'ou' or 'boundary', got {kind!r}")
-    _library_rule("model", model.validate)
+    _library_rule("model", model.validate, fields=[(f"model.{k}.expr", f) for k, f in fns.items()])
     return model
 
 

@@ -16,28 +16,33 @@ Key derivation for indexes (i1, ..., ik):
 with GOLDEN = 0x9E3779B97F4A7C15 and splitmix64 the standard finalizer
 (Steele/Lea/Flood mixing constants).  Normal and uniform variates are drawn
 from numpy's Generator on top of the Philox stream.
+
+A uniform read at only a few (r, k) entries is a closed function evaluated
+only there (counter-based, Salmon et al. SC 2011): the k-th SplitMix64 output
+from substream (seed, r)'s key, u = ((substream_key(seed, r, k) >> 12) + 1/2)
+2^-52, exact in float64 and within [2^-53, 1 - 2^-53], never 0 or 1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["substream_key", "make_generator", "rekey"]
+__all__ = ["substream_key", "make_generator", "rekey", "counter_uniform"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _ZEROS = np.zeros(4, dtype=np.uint64)
 
 
-def _splitmix64(z: int) -> int:
-    z &= _MASK
+def _splitmix64(z):  # z < 2^64: an int, or a uint64 array left unchanged
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
 
 
-def substream_key(seed: int, *indexes: int) -> int:
-    """64-bit Philox key for the substream of ``seed`` at ``indexes``."""
+def substream_key(seed, *indexes):
+    """64-bit Philox key for the substream of ``seed`` at ``indexes``; a
+    uint64 array, elementwise, where seed or an index is a uint64 array."""
     key = seed & _MASK
     for i in indexes:
         key = _splitmix64((key + _GOLDEN * ((i & _MASK) + 1)) & _MASK)
@@ -47,6 +52,13 @@ def substream_key(seed: int, *indexes: int) -> int:
 def make_generator(seed: int, *indexes: int) -> np.random.Generator:
     """Generator for the (seed, indexes) substream."""
     return np.random.Generator(np.random.Philox(key=substream_key(seed, *indexes)))
+
+
+def counter_uniform(keys: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """((substream_key(key, step) >> 12) + 1/2) 2^-52 for uint64 keys, each
+    the key of a substream (seed, r), and integer steps."""
+    bits = substream_key(keys, steps.astype(np.uint64)) >> 12
+    return (bits.astype(float) + 0.5) * 2.0 ** -52
 
 
 def rekey(gen: np.random.Generator, seed: int, *indexes: int) -> None:

@@ -281,7 +281,12 @@ class TimeFunction:
     source: str = field(default="", compare=False)
 
     def __call__(self, t):
-        return self.root.ev(t)
+        try:
+            return self.root.ev(t)
+        except RecursionError:  # raised once the stack has unwound, naming this function
+            exc = TimeFunctionError("an expression is too deep to evaluate")
+            exc.fn = self
+            raise exc from None
 
     def derivative_fn(self, order: int = 1) -> "TimeFunction":
         """Symbolic derivative as a new TimeFunction (bounds not propagated)."""

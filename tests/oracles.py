@@ -154,22 +154,29 @@ def gaussian_class_member_check(a: float, b_minus: float, b_plus: float, x: np.n
     return worst, violations
 
 
-def reference_engine(ts, hb, x0, ids, seed, bridge, make_generator):
+def bridge_uniform(key: int) -> float:
+    """The bridge uniform of a 64-bit key, on Python ints: the middle of the
+    key's cell among 2^52 equal cells of (0, 1)."""
+    return ((key >> 12) + 0.5) / 2 ** 52
+
+
+def reference_engine(ts, hb, x0, ids, seed, bridge, make_generator, substream_key):
     """The absorbed engine's specification: every path stepped one step at a
     time to the end of the window against every boundary row of hb.
 
-    Path r draws its normals and then its uniforms from make_generator(seed,
-    r).  A step from x to xn is a hit when |xn| >= h1 (tau at the step's end)
-    or, with the bridge, when u < p (tau at the step's midpoint), where p is
-    the Brownian-bridge crossing probability against the boundary linearised
+    Path r draws its normals from make_generator(seed, r); its uniform at
+    step k is bridge_uniform(substream_key(seed, r, k)), on Python ints.  A
+    step from x to xn is a hit when |xn| >= h1 (tau at the step's end) or,
+    with the bridge, when u < p (tau at the step's midpoint), where p is the
+    Brownian-bridge crossing probability against the boundary linearised
     from h0 to h1, evaluated at every (boundary, path, step) with no cutoff.
     Returns tau, one row per boundary, and the whole paths.
     """
     hb = np.atleast_2d(hb)
     n_steps = len(ts) - 1
-    draws = [(g.standard_normal(n_steps), g.random(n_steps))
-             for g in (make_generator(seed, r) for r in ids)]
-    z, u = (np.array(v) for v in zip(*draws))
+    z = np.array([make_generator(seed, r).standard_normal(n_steps) for r in ids])
+    u = np.array([[bridge_uniform(substream_key(seed, r, k)) for k in range(n_steps)]
+                  for r in ids]) if bridge else None
     x = np.full(len(ids), float(x0))
     tau = np.full((len(hb), len(ids)), np.inf)
     paths = [x]
@@ -180,7 +187,7 @@ def reference_engine(ts, hb, x0, ids, seed, bridge, make_generator):
         up = np.exp(-2.0 * np.maximum(h0 - x, 0.0) * np.maximum(h1 - xn, 0.0) / dt)
         dn = np.exp(-2.0 * np.maximum(h0 + x, 0.0) * np.maximum(h1 + xn, 0.0) / dt)
         direct = np.abs(xn) >= h1
-        hit = direct | (bridge & (u[:, k] < up + dn - up * dn))
+        hit = direct | (u[:, k] < up + dn - up * dn) if bridge else direct
         new = hit & (tau == np.inf)
         tau[new] = np.where(direct, ts[k + 1], ts[k] + 0.5 * dt)[new]
         x = xn

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,10 +16,10 @@ from apmarkov.absorbed import (BoundaryPair, boundary_convergence_report,
                                survival_flags, survival_probability, _uniform_window)
 from apmarkov.measures import Mesh, MeshMeasure, tv_distance
 from apmarkov.paths import SimulationError
-from apmarkov.rng import make_generator, rekey
+from apmarkov.rng import counter_uniform, make_generator, rekey, substream_key
 from apmarkov.timefns import const, parse_time_function
 
-from oracles import (conditioned_cell_masses, dirichlet_survival_images,
+from oracles import (bridge_uniform, conditioned_cell_masses, dirichlet_survival_images,
                      dirichlet_survival_spectral, qed_cell_masses,
                      qed_second_moment, reference_engine)
 
@@ -167,6 +168,27 @@ def test_stacked_flags_are_ordered_for_nested_constant_boundaries(c_h, widen, x0
     assert np.all(~f_h | f_g)
 
 
+@settings(max_examples=30, deadline=None)
+@given(c=st.floats(0.2, 1.5), amp=st.floats(0.0, 0.5), freq=st.floats(0.5, 30.0),
+       phase=st.floats(0.0, 6.3), x0=st.floats(-0.9, 0.9), seed=st.integers(0, 2 ** 64 - 1))
+def test_bridge_only_adds_absorptions_path_by_path(c, amp, freq, phase, x0, seed):
+    # the normals come first on each path's stream and do not depend on the
+    # bridge, which only adds absorptions: per path, flags on <= flags off
+    # and tau on <= tau off, for a sinusoidal boundary alone and stacked
+    def h(t):
+        return c * (1.0 + amp * np.sin(freq * t + phase))
+
+    ts = _uniform_window(0.0, 0.5, 2e-3)
+    x = x0 * c * (1.0 - amp)
+    on, off = (survival_flags(h, x, ts, seed=seed, n_paths=300, bridge=b) for b in (True, False))
+    assert np.all(on <= off)
+    hb = np.stack([absorbed._boundary_nodes(h, ts), np.full(len(ts), c * (1.0 + amp))])
+    tau_on, tau_off = (absorbed._engine(ts, hb, x, range(300), seed, bridge=b)["tau"]
+                       for b in (True, False))
+    assert np.all(tau_on <= tau_off)
+    assert np.array_equal(tau_on[0] == np.inf, on)
+
+
 def test_near_boundary_bridge_test_equals_full_evaluation():
     # the crossing probability is skipped far from the boundary; near the
     # cutoff, p is compared with the smallest uniforms, including u == 0
@@ -199,12 +221,55 @@ def test_rekeyed_generator_draws_like_a_fresh_one():
         reused.random(3, dtype=np.float32)  # leave a buffered half-word behind
 
 
-def _engine_against_reference(ts, hb, ids, seed, bridge, at, make=make_generator):
+_U64 = st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from([0, 2 ** 64 - 1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=_U64, cells=st.lists(st.tuples(st.integers(0, 2 ** 63), st.integers(0, 2 ** 63)),
+                                 min_size=1, max_size=8))
+def test_counter_uniform_equals_the_scalar_formula(seed, cells):
+    # the engine's vectorised uniforms, on uint64 arrays with wrapping
+    # arithmetic, against the formula on Python ints; no overflow warning
+    paths, steps = (np.array(v, dtype=np.uint64) for v in zip(*cells))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = counter_uniform(substream_key(seed, paths), steps)
+    assert u.tolist() == [bridge_uniform(substream_key(seed, r, k)) for r, k in cells]
+
+
+def _unmix(z):
+    """The inverse of the SplitMix64 finaliser on a 64-bit int."""
+    def unshift(y, s):  # x with x ^ (x >> s) == y
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    mask = 2 ** 64 - 1
+    z = unshift(z, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 2 ** 64) & mask, 27)
+    return unshift(z * pow(0xBF58476D1CE4E5B9, -1, 2 ** 64) & mask, 30)
+
+
+def test_counter_uniform_lies_strictly_inside_the_unit_interval():
+    # the keys whose step-0 outputs are 0 and 2^64 - 1 give the extremes,
+    # 2^-53 and 1 - 2^-53, both exact in float64: never 0 or 1
+    for out, want in ((0, 2.0 ** -53), (2 ** 64 - 1, 1.0 - 2.0 ** -53),
+                      (2 ** 63, 0.5 + 2.0 ** -53), (2 ** 12 - 1, 2.0 ** -53)):
+        key = (_unmix(out) - 0x9E3779B97F4A7C15) % 2 ** 64
+        assert substream_key(key, 0) == out
+        u = counter_uniform(np.array([key], dtype=np.uint64), np.zeros(1, dtype=int))
+        assert u[0] == want == bridge_uniform(out)
+    assert 0.0 < 2.0 ** -53 and 1.0 - 2.0 ** -53 < 1.0
+
+
+def _engine_against_reference(ts, hb, ids, seed, bridge, at):
     """Run _engine and the per-step reference on the same draws and require
     tau, alive and states to be exactly equal.  A state is NaN exactly where
     compaction has dropped the path: in the windows after the one in which
     the last of the boundaries absorbed it."""
-    tau, paths = reference_engine(ts, hb, 0.05, ids, seed, bridge, make)
+    tau, paths = reference_engine(ts, hb, 0.05, ids, seed, bridge, make_generator,
+                                  substream_key)
     out = absorbed._engine(ts, hb, 0.05, ids, seed, bridge=bridge, at=at)
     assert np.array_equal(out["tau"], tau if np.ndim(hb) == 2 else tau[0])
     assert np.array_equal(out["alive"], out["tau"] == np.inf)
@@ -214,7 +279,6 @@ def _engine_against_reference(ts, hb, ids, seed, bridge, at, make=make_generator
     dropped = (at > 0) & ((at - 1) // absorbed._WINDOW > last_window[:, None])
     assert np.array_equal(out["states"], np.where(dropped, np.nan, paths[:, at]),
                           equal_nan=True)
-    return out["tau"]
 
 
 @pytest.mark.parametrize("bridge", [True, False])
@@ -227,7 +291,8 @@ def test_window_kernel_equals_per_step_reference(bridge, n_steps):
     h = 0.3 + 0.2 * np.sin(7.0 * ts) ** 2
     hb = np.stack([h, h + 0.05, np.full_like(h, 0.6)])
     ids = range(7, 307)
-    tau, paths = reference_engine(ts, hb, 0.05, ids, 3, bridge, make_generator)
+    tau, paths = reference_engine(ts, hb, 0.05, ids, 3, bridge, make_generator,
+                                  substream_key)
     w = absorbed._WINDOW
     at = [r for r in (0, w // 2 + 1, w, 2 * w, n_steps) if r <= n_steps]
     for rows in (slice(None), 0):  # stacked and single boundaries
@@ -271,38 +336,6 @@ def test_window_kernel_equals_per_step_reference_on_random_windows(
                               [int(f * n_steps) for f in at])
 
 
-def _zeroing_generators():
-    """make_generator, except that every 97th uniform drawn, counted across
-    all the generators it makes, is 0.0."""
-    every, drawn = 97, [0]
-
-    class Zeroing:
-        def __init__(self, gen):
-            self.bit_generator, self.standard_normal = gen.bit_generator, gen.standard_normal
-            self._random = gen.random
-
-        def random(self, size=None, out=None):
-            v = self._random(size, out=out)
-            v[(every - 1 - drawn[0]) % every::every] = 0.0
-            drawn[0] += v.size
-            return v
-
-    return lambda seed, *indexes: Zeroing(make_generator(seed, *indexes))
-
-
-def test_window_kernel_takes_zero_uniforms_as_bridge_candidates(monkeypatch):
-    # u == 0 < p decides a hit wherever p > 0, however far the path is from
-    # the boundary, so the engine evaluates p there too
-    ts = 0.1 + 1e-3 * np.arange(301)
-    hb = np.stack([np.full(301, 0.45), 0.5 + 0.1 * np.sin(9.0 * ts)])
-    ids = range(300)
-    plain = absorbed._engine(ts, hb, 0.05, ids, 11)["tau"]
-    monkeypatch.setattr(absorbed, "make_generator", _zeroing_generators())
-    tau = _engine_against_reference(ts, hb, ids, 11, True, [0, 150, 300],
-                                    make=_zeroing_generators())
-    assert (tau < plain).sum() > 10
-
-
 @settings(max_examples=30, deadline=None)
 @given(j=st.integers(-3, 3), c=st.floats(0.3, 2.0), wobble=st.sampled_from([0.0, 0.3]),
        x0=st.floats(-0.9, 0.9), bridge=st.booleans(), seed=st.integers(0, 2 ** 32))
@@ -327,7 +360,7 @@ def test_engine_is_exactly_brownian_scaling_invariant(j, c, wobble, x0, bridge, 
 
 
 def test_survival_memory_does_not_grow_with_n_paths(monkeypatch):
-    # batches of 100 paths x 500 steps hold 0.8 MB of normals and uniforms;
+    # batches of 100 paths x 500 steps hold 0.4 MB of normals;
     # the window buffers on top of them must not scale with n_paths
     pair = default_boundary_pair()
     ts = _uniform_window(0.0, 0.5, 1e-3)
@@ -346,14 +379,15 @@ def test_survival_memory_does_not_grow_with_n_paths(monkeypatch):
 
 def test_engine_batch_peak_is_its_noise_and_a_fixed_window_allowance():
     # one batch of 500 paths x 2000 steps against two stacked boundaries: the
-    # normals and uniforms take 16 MB; on top of them only the window buffers
-    # (states and their magnitudes, the gathered increments, the boundary x
-    # window masks) and the per-step reach edges, within 1.3 MB
+    # normals take 8 MB and no uniform is stored; on top of them only the
+    # window buffers (states and their magnitudes, the gathered increments,
+    # the boundary x window masks, the candidates' uniforms) and the per-step
+    # reach edges, within 1.3 MB
     pair = default_boundary_pair()
     ts = _uniform_window(0.0, 2.0, 1e-3)
     n_paths, n_steps = 500, len(ts) - 1
     assert len(absorbed._batches(n_paths, n_steps)) == 1
-    noise_mb = 2 * 8 * n_paths * n_steps / 1e6
+    noise_mb = 8 * n_paths * n_steps / 1e6
     tracemalloc.start()
     try:
         survival_flags([pair.h, pair.g], 0.0, ts, seed=1, n_paths=n_paths)

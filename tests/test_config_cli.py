@@ -1,8 +1,10 @@
 import ast
 import csv
+import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -17,6 +19,7 @@ from apmarkov.absorbed import BoundaryPair
 from apmarkov.cli import _write_csv, main
 from apmarkov.config import (ConfigError, config_hash, parse_config,
                              serialize_config)
+from apmarkov.ou import OUSpec
 from apmarkov.timefns import parse_time_function
 
 OU_MODEL = {
@@ -449,10 +452,33 @@ def test_cli_artifacts_do_not_depend_on_threads_or_batches(tmp_path, monkeypatch
 
     serial = artifacts("threads1", "--threads", "1")
     assert serial and artifacts("threads3", "--threads", "3") == serial
+    _assert_recorded("tiny", doc["experiment"], serial)
     if doc["experiment"] == "survival":  # 30 steps a path, 16 paths a batch
         monkeypatch.setattr(absorbed, "_MAX_BATCH_ELEMS", 16 * 30)
         assert len(absorbed._batches(doc["params"]["n_paths"], 30)) >= 3
         assert artifacts("batched") == serial
+
+
+RECORD = json.loads((Path(__file__).parent / "artifact_hashes.json").read_text())
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _assert_recorded(group, name, artifacts):
+    """The sha256 of each artifact (file name -> bytes) equals the record's.
+    The record holds for its numpy and Python versions only, so another
+    version fails here, by name, rather than pass or skip unchecked."""
+    for lib, version in (("numpy", np.__version__), ("python", platform.python_version())):
+        assert version == RECORD[lib], (f"{lib} {version} is not the {lib} {RECORD[lib]} of "
+                                        "tests/artifact_hashes.json: check the bytes again")
+    got = {f: hashlib.sha256(b).hexdigest() for f, b in sorted(artifacts.items())}
+    assert got == RECORD[group][name], f"{group} {name} artifacts moved: {got}"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_shipped_config_artifacts_equal_the_record(tmp_path, name):
+    assert main(["run", "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path)]) == 0
+    _assert_recorded("shipped", name, {p.name: p.read_bytes() for p in tmp_path.iterdir()
+                                       if p.name != "manifest.jsonl"})
 
 
 def _deep_ap_doc(n_terms):
@@ -486,6 +512,43 @@ def test_cli_deep_expression_exit_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "configuration error: model.lambda.expr" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("model, key", [(OU_MODEL, "lambda"), (OU_MODEL, "g"),
+                                        (BOUNDARY_MODEL, "h"), (BOUNDARY_MODEL, "g")])
+def test_expression_too_deep_to_evaluate_names_its_field(monkeypatch, model, key):
+    # validation run 60 frames deeper than the reader, so that some
+    # expressions the reader walks are too deep for validation to evaluate
+    # (as in a CLI run, where it depends on the frames above each); the
+    # error names the time function's field, not the model
+    cls = OUSpec if model is OU_MODEL else BoundaryPair
+    validate = cls.validate
+
+    def deeper(self, frames=60):
+        return deeper(self, frames - 1) if frames else validate(self)
+
+    monkeypatch.setattr(cls, "validate", deeper)
+    deep = []
+    for n_terms in range(900, 1101, 10):
+        fn = dict(model[key], expr=str(model[key]["upper"]) + " + 0*t" * n_terms)
+        doc = dict(ergodic_doc() if model is OU_MODEL else _qsd_doc(),
+                   model=dict(model, **{key: fn}))
+        try:
+            parse_config(doc)
+        except ConfigError as exc:
+            deep += [str(exc)] if "too deep to evaluate" in str(exc) else []
+    assert deep and all(m.startswith(f"model.{key}.expr: ") for m in deep)
+
+
+@pytest.mark.parametrize("expr", [5, 1.5, None, ["t"], {"t": 1}])
+def test_cli_non_string_expression_exit_2(tmp_path, capsys, expr):
+    doc = dict(_ap_doc(), model=dict(OU_MODEL, **{"lambda": dict(OU_MODEL["lambda"],
+                                                                 expr=expr)}))
+    assert main(["run", "--config", str(write(tmp_path, doc)),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: model.lambda.expr must be a string, "
+                          f"got {expr!r}")
 
 
 def test_cli_integer_past_the_digit_limit_exit_2(tmp_path, capsys):
