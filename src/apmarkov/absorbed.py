@@ -27,7 +27,7 @@ import numpy as np
 
 from .measures import Mesh, MeshMeasure, tv_distance
 from .paths import SimulationError
-from .rng import counter_uniform, make_generator, rekey, substream_key
+from .rng import counter_uniform, make_generator, rekey, set_key, substream_key
 from .timefns import TimeFunction, grid_steps, simpson_profile
 
 __all__ = [
@@ -53,10 +53,12 @@ __all__ = [
     "QEDComparison",
 ]
 
-# normals per engine batch, 8 MB: sets peak memory
+# path-steps per engine batch: sets its paths, and its noise (8 MB) unless chunked
 _MAX_BATCH_ELEMS = int(1e6)
 # steps per step-major noise window; the working set is compacted between windows
 _WINDOW = 64
+_CHUNK = 8 * _WINDOW  # steps per draw of the working set's normals, a window multiple
+_GEN_COST = 1000  # a generator's build time in normals drawn (25 us against 27 ns)
 # bridge crossings are evaluated within this many sqrt(dt) of the boundary
 _BRIDGE_REACH = 5.0
 
@@ -163,20 +165,30 @@ def _bridge_step(x, xn, h0, h1, dt, u) -> np.ndarray:
     return hit
 
 
-def _engine(ts: np.ndarray, hb: np.ndarray, x0: float, ids: range, seed: int,
-            bridge: bool = True, at: Sequence[int] = ()) -> Dict[str, np.ndarray]:
+def _draws(n: int, n_paths: int, n_steps: int) -> Tuple[list, int]:
+    """(generators for _engine to key, steps per draw) for n-path batches: a
+    generator per path and _CHUNK steps where the window spans 3+ chunks and
+    their build is at most 1/16 of the call's normals; else one, whole windows."""
+    if n_steps > 2 * _CHUNK and 16 * _GEN_COST * n <= n_paths * n_steps:
+        return [make_generator(0) for _ in range(n)], _CHUNK
+    return [make_generator(0)] * n, n_steps
+
+
+def _engine(ts: np.ndarray, hb: np.ndarray, x0: float, ids: range, seed: int, bridge: bool = True,
+            at: Sequence[int] = (), draws: Optional[tuple] = None) -> Dict[str, np.ndarray]:
     """Simulate one batch of absorbed paths on node times ts against one
     boundary (hb of shape (n_steps+1,)) or a stack of boundaries (shape
     (n_boundaries, n_steps+1)), all from a single noise pass.  Path i draws
-    its normals from substream (seed, ids[i]); its bridge uniforms are
-    counter_uniform's, evaluated only at bridge candidates, never stored.
+    its normals from substream (seed, ids[i]) as _draws plans, a chunk at a
+    time while it is in the working set; its bridge uniforms are
+    counter_uniform's, at bridge candidates only.
 
     Returns tau (+inf where the path survives the whole window) and alive,
     one row per stacked boundary, and states, of shape (n_paths, len(at)):
     the path states at the step indexes in ``at``.  The path state is shared
-    by all boundaries, the normals are drawn for every path before stepping
-    and u depends only on (seed, path, step), so the noise never depends on
-    the boundary (which makes common-random-number comparisons exact).
+    by all boundaries, and the normals and u depend only on (seed, path,
+    step), so the noise never depends on the boundary (which makes
+    common-random-number comparisons exact).
 
     Only the paths alive under some boundary are stepped: the working set is
     compacted between windows of steps, and states are NaN for the paths it
@@ -188,11 +200,9 @@ def _engine(ts: np.ndarray, hb: np.ndarray, x0: float, ids: range, seed: int,
         hb = hb[None, :]
     n = len(ids)
     n_steps = len(ts) - 1
-    z = np.empty((n, n_steps))
-    gen = make_generator(seed)  # re-keyed to substream (seed, r) for each path
-    for r, zr in zip(ids, z):
-        rekey(gen, seed, r)
-        gen.standard_normal(out=zr)
+    keys = substream_key(seed, np.array(ids, dtype=np.uint64))  # for the normals and uniforms
+    gens, chunk = draws or _draws(n, n, n_steps)
+    z = np.empty((n, min(n_steps, chunk)))  # the chunk's normals, by path
     rows = np.arange(n)  # working set: paths alive under some boundary
     x = np.full(n, float(x0))
     alive = np.ones((len(hb), n), dtype=bool)
@@ -201,8 +211,7 @@ def _engine(ts: np.ndarray, hb: np.ndarray, x0: float, ids: range, seed: int,
     states = np.full((n, len(at)), np.nan)
     states[:, at == 0] = x0
     dts = np.diff(ts)
-    if bridge:  # the paths' keys for their uniforms, and the reach edges of _bridge_step
-        keys = substream_key(seed, np.array(ids, dtype=np.uint64))
+    if bridge:  # the reach edges of _bridge_step
         reach = _BRIDGE_REACH * np.sqrt(dts)
         lo, hi = hb[:, :-1] - reach, hb[:, 1:] - reach
     buf = np.empty((2, (_WINDOW + 1) * n))  # the window's states and their magnitudes
@@ -213,12 +222,18 @@ def _engine(ts: np.ndarray, hb: np.ndarray, x0: float, ids: range, seed: int,
             rows, x, alive = rows[live], x[live], alive[:, live]
             if rows.size == 0:
                 break
+        col = k0 % chunk  # the window's first column in z
+        if col == 0:
+            for r in rows:
+                if k0 == 0:  # keyed just before its first draw: a shared gen serves the next path
+                    set_key(gens[r], keys[r])
+                gens[r].standard_normal(out=z[r, :n_steps - k0])
         # the window's states, step-major: X[j] = x + sum of the first j
         # increments, added in step order, as a step-by-step loop adds them
         dt_w = dts[k0:k1, None]
         X, A = buf[:, :(k1 - k0 + 1) * len(rows)].reshape(2, k1 - k0 + 1, len(rows))
         X[0] = x
-        np.multiply(np.sqrt(dt_w), z[rows, k0:k1].T, out=X[1:])
+        np.multiply(np.sqrt(dt_w), z[rows, col:col + k1 - k0].T, out=X[1:])
         np.cumsum(X, axis=0, out=X)
         np.abs(X, out=A)
         direct = A[1:] >= hb[:, k0 + 1:k1 + 1, None]  # (n_boundaries, window steps, working set)
@@ -251,6 +266,13 @@ def _engine(ts: np.ndarray, hb: np.ndarray, x0: float, ids: range, seed: int,
 def _batches(n_paths: int, n_steps: int) -> List[range]:
     size = max(1, min(n_paths, _MAX_BATCH_ELEMS // max(1, n_steps)))
     return [range(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+
+
+def _runs(ts: np.ndarray, hb: np.ndarray, x0: float, n_paths: int, seed: int, **kw):
+    """(ids, _engine's result) for each of _batches, all through one _draws."""
+    batches = _batches(n_paths, len(ts) - 1)
+    draws = _draws(max(map(len, batches), default=0), n_paths, len(ts) - 1)
+    return ((ids, _engine(ts, hb, x0, ids, seed, draws=draws, **kw)) for ids in batches)
 
 
 def _boundary_nodes(h, ts: np.ndarray) -> np.ndarray:
@@ -293,8 +315,8 @@ def survival_flags(h, x0: float, ts: np.ndarray, seed: int, n_paths: int,
     hb = np.stack([_boundary_nodes(b, ts) for b in h]) if stacked else _boundary_nodes(h, ts)
     _check_start(x0, float(np.min(hb[..., 0])))
     flags = np.empty(hb.shape[:-1] + (n_paths,), dtype=bool)
-    for ids in _batches(n_paths, len(ts) - 1):
-        flags[..., ids.start:ids.stop] = _engine(ts, hb, x0, ids, seed, bridge=bridge)["alive"]
+    for ids, out in _runs(ts, hb, x0, n_paths, seed, bridge=bridge):
+        flags[..., ids.start:ids.stop] = out["alive"]
     return flags
 
 
@@ -373,8 +395,7 @@ def girsanov_survival_estimate(h: TimeFunction, x0: float, dt: float, T: float,
     w0 = x0 / hb[0]
     # one weight per path, summed once, so the batch split cannot move the sums
     weights = np.zeros(n_paths)  # only the survivors carry a weight
-    for ids in _batches(n_paths, len(ts) - 1):
-        out = _engine(clock, ones, w0, ids, seed, at=range(len(ts)))
+    for ids, out in _runs(clock, ones, w0, n_paths, seed, at=range(len(ts))):
         vals = weights[ids.start:ids.stop]
         vals[out["alive"]] = _weights_matrix(ts, out["states"][out["alive"]], h)
     p = float(weights.sum()) / n_paths
@@ -530,8 +551,7 @@ def q_process_approx(h, s: float, x: float, t: float, horizons: Sequence[float],
     ends = [grid_steps(v - s, dt, "horizon - s") for v in horizons]
     counts = np.zeros((len(horizons), mesh.n_cells))
     n_surv = np.zeros(len(horizons), dtype=int)
-    for ids in _batches(n_paths, len(ts) - 1):
-        out = _engine(ts, hb, x, ids, seed, bridge=bridge, at=(rec_step,))
+    for _, out in _runs(ts, hb, x, n_paths, seed, bridge=bridge, at=(rec_step,)):
         for j, end in enumerate(ends):
             alive = out["tau"] > ts[end]  # absorbed at the horizon's node is dead
             counts[j] += np.bincount(mesh.cell_index(out["states"][alive, 0]),

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 configuration/validation failure, 3 numeric failure.
 Artifacts are CSV files plus a JSON-lines run manifest; identical config and
 seed reproduce the CSV bytes exactly (the manifest carries the only
-timestamp).
+timestamp, phase timings and peak RSS).
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ import argparse
 import datetime
 import functools
 import json
+import resource
 import sys
+import time
 from itertools import repeat
 from pathlib import Path
 
@@ -63,35 +65,32 @@ def _mesh_from(params: dict) -> Mesh:
             else Mesh(x_min=float(m["x_min"]), x_max=float(m["x_max"]), n_cells=m["n_cells"]))
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
-    """Dispatch one experiment; returns the artifact file names written."""
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Dispatch one experiment; returns its artifacts by file name, each a
+    text or the (header, rows) of a CSV file."""
     p = cfg.params
     if cfg.experiment == "ergodic":
         report = run_l2_experiment(cfg.model(), OBSERVABLES[p["observable"]],
                                    _initial_from(p), p["t_values"], n_replicas=p["n_replicas"],
                                    dt=p["dt"], seed=cfg.seed, threads=cfg.threads,
                                    use_auxiliary=p.get("use_auxiliary", False))
-        _write_csv(out_dir / "report.csv", ["t", "mean_avg", "l2_err", "var", "stderr"],
-                   report.rows())
         extra = {"limit": report.limit, "var_slope": report.var_slope}
-        (out_dir / "summary.json").write_text(json.dumps(extra, sort_keys=True) + "\n")
-        return ["report.csv", "summary.json"]
+        return {"report.csv": (["t", "mean_avg", "l2_err", "var", "stderr"], report.rows()),
+                "summary.json": json.dumps(extra, sort_keys=True) + "\n"}
 
     if cfg.experiment == "asymptotic-periodicity":
         rows = asymptotic_periodicity_report(cfg.model(), s=float(p["s"]), n=p["n"],
                                              k_values=p["k_values"],
                                              x=float(p.get("probe_x", 1.0)))
-        _write_csv(out_dir / "periodicity.csv", ["k", "n", "s", "tv"],
-                   [(r.k, r.n, r.s, r.tv) for r in rows])
-        return ["periodicity.csv"]
+        return {"periodicity.csv": (["k", "n", "s", "tv"],
+                                    [(r.k, r.n, r.s, r.tv) for r in rows])}
 
     if cfg.experiment == "drift":
         kernel = GaussianKernel(cfg.model().drift(p.get("use_auxiliary", False)))
         cert = check_drift(kernel, quadratic_psi, s=float(p["s"]), t1=float(p["t1"]),
                            theta=float(p["theta"]), C=float(p["C"]),
                            k_edge=float(p["k_edge"]), mesh=_mesh_from(p))
-        (out_dir / "certificates.jsonl").write_text(cert.to_json() + "\n")
-        return ["certificates.jsonl"]
+        return {"certificates.jsonl": cert.to_json() + "\n"}
 
     if cfg.experiment == "minorization":
         cert = gaussian_class_minorization(a=float(p["a"]), b_minus=float(p["b_minus"]),
@@ -99,9 +98,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
                                            mesh=_mesh_from(p),
                                            n_members=int(p.get("n_members", 1000)),
                                            seed=cfg.seed)
-        (out_dir / "certificates.jsonl").write_text(cert.to_json() + "\n")
-        _write_csv(out_dir / "nu.csv", ["cell_center", "weight"], cert.nu.to_rows())
-        return ["certificates.jsonl", "nu.csv"]
+        return {"certificates.jsonl": cert.to_json() + "\n",
+                "nu.csv": (["cell_center", "weight"], cert.nu.to_rows())}
 
     if cfg.experiment == "qsd":
         pair = cfg.model()
@@ -113,20 +111,26 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
                               mesh=Mesh(-boundary.upper, boundary.upper,
                                         int(p.get("n_bins", 80))),
                               x0=x0, burn_in=float(p.get("burn_in", 0.0)))
-        _write_csv(out_dir / "occ.csv", ["bin_center", "mass"],
-                   result.occupation.measure().to_rows())
-        return ["occ.csv"]
+        return {"occ.csv": (["bin_center", "mass"], result.occupation.measure().to_rows())}
 
     # survival, the last of config.EXPERIMENT_KINDS
     rows = boundary_convergence_report(cfg.model(), s=float(p["s"]), t=float(p["t"]),
                                        x=float(p["x"]), k_values=p["k_values"],
                                        n_paths=p["n_paths"], dt=p["dt"], seed=cfg.seed)
-    _write_csv(out_dir / "survival.csv", ["k", "gap", "stderr", "sandwich_prob"],
-               [(r.k, r.gap, r.stderr, r.sandwich_prob) for r in rows])
-    return ["survival.csv"]
+    return {"survival.csv": (["k", "gap", "stderr", "sandwich_prob"],
+                             [(r.k, r.gap, r.stderr, r.sandwich_prob) for r in rows])}
 
 
-def _write_manifest(cfg: ExperimentConfig, out_dir: Path, artifacts: list[str]) -> None:
+def _write_artifacts(out_dir: Path, artifacts: dict) -> None:
+    for name, content in artifacts.items():
+        if isinstance(content, str):
+            (out_dir / name).write_text(content)
+        else:
+            _write_csv(out_dir / name, *content)
+
+
+def _write_manifest(cfg: ExperimentConfig, out_dir: Path, artifacts: list[str],
+                    timings: dict) -> None:
     record = {
         "config_hash": config_hash(cfg),
         "experiment": cfg.experiment,
@@ -139,6 +143,8 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: Path, artifacts: list[str]) 
             "python": sys.version.split()[0],
         },
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "timings": timings,  # seconds per phase
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
     }
     with open(out_dir / "manifest.jsonl", "a") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -170,6 +176,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
         cfg = load_config(args.config)
         if args.command != "run" and cfg.experiment != args.command:
@@ -192,8 +199,12 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        artifacts = run_experiment(cfg, out)
-        _write_manifest(cfg, out, artifacts)
+        t1 = time.perf_counter()
+        artifacts = run_experiment(cfg)
+        t2 = time.perf_counter()
+        _write_artifacts(out, artifacts)
+        timings = {"load": t1 - t0, "run": t2 - t1, "write": time.perf_counter() - t2}
+        _write_manifest(cfg, out, list(artifacts), timings)
     except (SimulationError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["substream_key", "make_generator", "rekey", "counter_uniform"]
+__all__ = ["substream_key", "make_generator", "rekey", "set_key", "counter_uniform"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -62,14 +62,18 @@ def counter_uniform(keys: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 
 def rekey(gen: np.random.Generator, seed: int, *indexes: int) -> None:
-    """Reset a Philox-backed ``gen`` to the start of the (seed, indexes)
-    substream: counter 0, key (substream_key, 0), empty buffer.  Its draws
-    then equal those of ``make_generator(seed, *indexes)`` bit for bit,
-    without building a new bit generator (which reads OS entropy for a seed
-    it then discards)."""
+    """Reset a Philox-backed ``gen`` to the start of substream (seed, indexes)."""
+    set_key(gen, substream_key(seed, *indexes))
+
+
+def set_key(gen: np.random.Generator, key) -> None:
+    """Reset a Philox-backed ``gen`` to the start of the substream whose key
+    is ``key``: counter 0, key (key, 0), empty buffer.  Its draws then equal
+    those of a generator made for that substream bit for bit, without
+    building a new bit generator (which reads OS entropy for a seed it then
+    discards)."""
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZEROS,
-                  "key": np.array([substream_key(seed, *indexes), 0], dtype=np.uint64)},
+        "state": {"counter": _ZEROS, "key": np.array([key, 0], dtype=np.uint64)},
         "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from apmarkov import absorbed
@@ -22,6 +22,7 @@ from apmarkov.timefns import const, parse_time_function
 from oracles import (bridge_uniform, conditioned_cell_masses, dirichlet_survival_images,
                      dirichlet_survival_spectral, qed_cell_masses,
                      qed_second_moment, reference_engine)
+from test_timefns import _GRAMMAR
 
 UNIT = const(1.0, lower=1.0, upper=1.0)
 
@@ -265,12 +266,17 @@ def test_counter_uniform_lies_strictly_inside_the_unit_interval():
 
 def _engine_against_reference(ts, hb, ids, seed, bridge, at):
     """Run _engine and the per-step reference on the same draws and require
-    tau, alive and states to be exactly equal.  A state is NaN exactly where
-    compaction has dropped the path: in the windows after the one in which
-    the last of the boundaries absorbed it."""
+    tau, alive and states to be exactly equal (see _equals_reference)."""
     tau, paths = reference_engine(ts, hb, 0.05, ids, seed, bridge, make_generator,
                                   substream_key)
     out = absorbed._engine(ts, hb, 0.05, ids, seed, bridge=bridge, at=at)
+    _equals_reference(out, ts, hb, at, tau, paths)
+
+
+def _equals_reference(out, ts, hb, at, tau, paths):
+    """_engine's tau, alive and states equal the reference's exactly.  A
+    state is NaN exactly where compaction has dropped the path: in the
+    windows after the one in which the last of the boundaries absorbed it."""
     assert np.array_equal(out["tau"], tau if np.ndim(hb) == 2 else tau[0])
     assert np.array_equal(out["alive"], out["tau"] == np.inf)
     hit_step = np.searchsorted(ts, tau) - 1  # tau lies in (ts[k], ts[k + 1]]; inf gives n_steps
@@ -336,6 +342,40 @@ def test_window_kernel_equals_per_step_reference_on_random_windows(
                               [int(f * n_steps) for f in at])
 
 
+@pytest.mark.parametrize("bridge", [True, False])
+@pytest.mark.parametrize("chunked", [True, False])
+def test_engine_draws_stay_exact_across_chunk_edges(chunked, bridge, monkeypatch):
+    # 3 chunks of normals, the last one 37 steps (off the chunk and window
+    # grids), through the batch runs of survival: 3 batches of 40, 40 and 20
+    # paths drawn through one pool of generators, or one shared generator
+    # and whole-window draws where the pool would not pay.  The tight rows
+    # absorb paths mid-chunk, the wide one keeps some alive across both edges
+    c = absorbed._CHUNK
+    n_steps = 2 * c + 37
+    ts = 1e-3 * np.arange(n_steps + 1)
+    h = 0.3 + 0.25 * np.sin(3.0 * ts) ** 2
+    hb = np.stack([h, h + 0.1, np.full_like(h, 0.9)])
+    at = (0, c - 1, c, c + 1, 2 * c - 1, 2 * c, 2 * c + 1, n_steps)
+    monkeypatch.setattr(absorbed, "_MAX_BATCH_ELEMS", 40 * n_steps)
+    if chunked:  # a generator as cheap as one normal: the pool pays for 100 paths
+        monkeypatch.setattr(absorbed, "_GEN_COST", 1)
+    gens, chunk = absorbed._draws(40, 100, n_steps)
+    assert chunk == (c if chunked else n_steps)
+    assert len({id(g) for g in gens}) == (40 if chunked else 1)
+    runs = list(absorbed._runs(ts, hb, 0.05, 100, 11, bridge=bridge, at=at))
+    assert [ids for ids, _ in runs] == [range(0, 40), range(40, 80), range(80, 100)]
+    out = {key: np.concatenate([o[key] for _, o in runs], axis=-2 if key == "states" else -1)
+           for key in ("tau", "alive", "states")}
+    tau, paths = reference_engine(ts, hb, 0.05, range(100), 11, bridge, make_generator,
+                                  substream_key)
+    _equals_reference(out, ts, hb, at, tau, paths)
+    last = np.searchsorted(ts, tau).max(axis=0) - 1  # last absorption step; n_steps if alive
+    for edge in (c, 2 * c):
+        assert np.any(last >= edge)  # alive across the edge
+        assert np.any((edge - c < last) & (last < edge - absorbed._WINDOW))  # dead mid-chunk
+    assert np.any(last == n_steps) and np.any(np.isnan(out["states"][:, -1]))
+
+
 @settings(max_examples=30, deadline=None)
 @given(j=st.integers(-3, 3), c=st.floats(0.3, 2.0), wobble=st.sampled_from([0.0, 0.3]),
        x0=st.floats(-0.9, 0.9), bridge=st.booleans(), seed=st.integers(0, 2 ** 32))
@@ -359,6 +399,34 @@ def test_engine_is_exactly_brownian_scaling_invariant(j, c, wobble, x0, bridge, 
     assert np.array_equal(2.0 ** j * a["states"], b["states"], equal_nan=True)
 
 
+@settings(max_examples=25, deadline=None)
+@given(f=_GRAMMAR, j=st.integers(-3, 3), level=st.floats(0.3, 1.5), x0=st.floats(-0.9, 0.9),
+       bridge=st.booleans(), seed=st.integers(0, 2 ** 32))
+def test_conditioned_endpoint_law_is_exactly_brownian_scaling_invariant(f, j, level, x0,
+                                                                         bridge, seed):
+    # criterion 11's lemma as an exact property: the counts for
+    # (c h(t / c^2), c x0, c^2 dt) equal those for (h, x0, dt) with c = 2^j,
+    # for a boundary h = level (1 + 0.3 sin(f)) with f drawn from the grammar
+    h = parse_time_function(f"{level!r} * (1 + 0.3*sin({f[0]}))")
+    c, dt, T = 2.0 ** j, 2.0 ** -9, 0.25
+    with np.errstate(all="ignore"):
+        assume(np.all(np.isfinite(h(dt * np.arange(129)))))
+
+        def h_scaled(t):
+            return c * h(t / c ** 2)
+
+        def counts(h, c):  # survivors and their law, or None if none survive
+            try:
+                law, n = conditioned_endpoint_law(h, c * x0 * level * 0.7, c ** 2 * dt,
+                                                  c ** 2 * T, 200, seed,
+                                                  Mesh(c * -2.0, c * 2.0, 24), bridge=bridge)
+            except SimulationError:
+                return None
+            return n, law.weights.tolist()
+
+        assert counts(h_scaled, c) == counts(h, 1.0)
+
+
 def test_survival_memory_does_not_grow_with_n_paths(monkeypatch):
     # batches of 100 paths x 500 steps hold 0.4 MB of normals;
     # the window buffers on top of them must not scale with n_paths
@@ -378,23 +446,51 @@ def test_survival_memory_does_not_grow_with_n_paths(monkeypatch):
 
 
 def test_engine_batch_peak_is_its_noise_and_a_fixed_window_allowance():
-    # one batch of 500 paths x 2000 steps against two stacked boundaries: the
-    # normals take 8 MB and no uniform is stored; on top of them only the
+    # 10 batches of 500 paths x 2000 steps against two stacked boundaries,
+    # enough batches for the generator pool to pay: the normals of one chunk
+    # take 2.05 MB and no uniform is stored; on top of them the pool, within
+    # 0.31 MB (500 generators measured alone at 0.305 MB), and only the
     # window buffers (states and their magnitudes, the gathered increments,
     # the boundary x window masks, the candidates' uniforms) and the per-step
     # reach edges, within 1.3 MB
     pair = default_boundary_pair()
     ts = _uniform_window(0.0, 2.0, 1e-3)
-    n_paths, n_steps = 500, len(ts) - 1
-    assert len(absorbed._batches(n_paths, n_steps)) == 1
-    noise_mb = 8 * n_paths * n_steps / 1e6
+    n_paths, n_steps = 5000, len(ts) - 1
+    assert [len(ids) for ids in absorbed._batches(n_paths, n_steps)] == [500] * 10
+    noise_mb = 8 * 500 * absorbed._CHUNK / 1e6
+    pool_mb = 0.31
     tracemalloc.start()
     try:
+        gens, chunk = absorbed._draws(500, n_paths, n_steps)
+        assert chunk == absorbed._CHUNK
+        assert tracemalloc.get_traced_memory()[1] / 1e6 <= pool_mb
+        del gens
+        tracemalloc.reset_peak()
         survival_flags([pair.h, pair.g], 0.0, ts, seed=1, n_paths=n_paths)
         peak = tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
-    assert peak <= noise_mb + 1.3
+    assert peak <= noise_mb + pool_mb + 1.3
+
+
+def test_generator_pool_is_built_only_where_it_pays():
+    # a generator per path costs about 1,000 normals' draw time, and each
+    # further draw call a path makes about 100, so the pool is built only for
+    # windows of three chunks or more in calls of many batches
+    short = absorbed._draws(10_000, 100_000, 100)  # a window of one chunk
+    two = absorbed._draws(1000, 100_000, 1000)  # two chunks: criterion 11's windows
+    one = absorbed._draws(500, 500, 2000)  # every path in one batch
+    for (gens, chunk), n_steps in ((short, 100), (two, 1000), (one, 2000)):
+        assert chunk == n_steps and len({id(g) for g in gens}) == 1
+    gens, chunk = absorbed._draws(500, 10_000, 2000)  # survival-crn: 20 batches
+    assert chunk == absorbed._CHUNK and len({id(g) for g in gens}) == 500
+
+
+def test_survival_flags_of_no_paths_are_empty():
+    ts = _uniform_window(0.0, 2.0, 1e-3)
+    pair = default_boundary_pair()
+    assert survival_flags(1.0, 0.0, ts, seed=1, n_paths=0).shape == (0,)
+    assert survival_flags([pair.h, pair.g], 0.0, ts, seed=1, n_paths=0).shape == (2, 0)
 
 
 def test_vector_donor_draw_consumes_the_stream_like_scalar_draws():

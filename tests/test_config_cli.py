@@ -186,9 +186,28 @@ def test_cli_rerun_is_byte_identical(tmp_path):
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
     m1 = json.loads((out1 / "manifest.jsonl").read_text())
     m2 = json.loads((out2 / "manifest.jsonl").read_text())
-    m1.pop("timestamp")
-    m2.pop("timestamp")
+    for m in (m1, m2):  # the fields that describe the run, not its results
+        for key in ("timestamp", "timings", "peak_rss_mb"):
+            m.pop(key)
     assert m1 == m2
+
+
+def test_cli_manifest_schema(tmp_path):
+    cfg = write(tmp_path, ergodic_doc(observable="x2"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "manifest.jsonl").read_text().splitlines()
+    assert len(lines) == 2  # one record appended per run
+    for record in map(json.loads, lines):
+        assert set(record) == {"config_hash", "experiment", "seed", "config", "artifacts",
+                               "versions", "timestamp", "timings", "peak_rss_mb"}
+        assert record["artifacts"] == ["report.csv", "summary.json"]
+        assert set(record["timings"]) == {"load", "run", "write"}
+        assert all(isinstance(v, float) and 0.0 <= v < 60.0
+                   for v in record["timings"].values())
+        # ru_maxrss of this process, in kilobytes on Linux: at least the interpreter
+        assert isinstance(record["peak_rss_mb"], float) and record["peak_rss_mb"] > 1.0
 
 
 def test_cli_seed_override_changes_output(tmp_path):
