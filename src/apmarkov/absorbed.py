@@ -45,8 +45,6 @@ __all__ = [
     "FVResult",
     "q_process_approx",
     "QProcessResult",
-    "conditional_minorization_estimate",
-    "MinorizationEstimate",
     "boundary_convergence_report",
     "SurvivalGapRow",
     "qed_comparison",
@@ -429,12 +427,6 @@ class OccupationMeasure:
     def measure(self) -> MeshMeasure:
         return MeshMeasure.from_unnormalized(self.mesh, self.mass)
 
-    def second_moment(self) -> float:
-        return self.measure().second_moment()
-
-    def mean(self) -> float:
-        return self.measure().mean()
-
 
 @dataclass(frozen=True)
 class FVResult:
@@ -569,59 +561,6 @@ def q_process_approx(h, s: float, x: float, t: float, horizons: Sequence[float],
     return QProcessResult(t=t, horizons=tuple(horizons), laws=tuple(laws),
                           n_survivors=tuple(int(v) for v in n_surv),
                           stabilization=stab, flagged=tuple(flagged))
-
-
-# ---------------------------------------------------------------------------
-# conditional minorization estimate
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MinorizationEstimate:
-    """Monte Carlo estimate of a common component of conditioned transitions."""
-
-    c1: float
-    c1_lower: float  # 95% lower confidence value from per-cell binomial bands
-    nu_hat: MeshMeasure
-    probes: Tuple[float, ...]
-    t_values: Tuple[float, ...]
-    n_survivors: Tuple[int, ...]
-
-
-def conditional_minorization_estimate(h, s: float, t_values: Sequence[float],
-                                      probes: Sequence[float], n_paths: int,
-                                      seed: int, mesh: Mesh,
-                                      dt: float = 1e-3) -> MinorizationEstimate:
-    """Estimate c1 and nu with conditioned one-window transition histograms.
-
-    For each probe x and window length t in t_values, the law of X_{s+t}
-    conditioned on survival is estimated on the mesh; nu-hat is the
-    normalized cell-wise minimum across (probe, t) and c1 its unnormalized
-    mass.  c1_lower subtracts 1.96 binomial standard errors per cell first.
-    """
-    if len(probes) == 0 or len(t_values) == 0:
-        raise ValueError("need at least one probe and one window length")
-    mins = np.full(mesh.n_cells, np.inf)
-    mins_lower = np.full(mesh.n_cells, np.inf)
-    survivors = []
-    for j, (x, t) in enumerate((x, t) for t in t_values for x in probes):
-        law, n_surv = conditioned_endpoint_law(h, x, dt, t, n_paths,
-                                               seed + j, mesh, t_start=s)
-        survivors.append(n_surv)
-        p = law.weights
-        se = np.sqrt(p * (1.0 - p) / n_surv)
-        mins = np.minimum(mins, p)
-        mins_lower = np.minimum(mins_lower, np.maximum(p - 1.96 * se, 0.0))
-    c1 = float(mins.sum())
-    if c1 <= 0.0:
-        zero_mesh = MeshMeasure(mesh, np.full(mesh.n_cells, 1.0 / mesh.n_cells))
-        return MinorizationEstimate(c1=0.0, c1_lower=0.0, nu_hat=zero_mesh,
-                                    probes=tuple(probes), t_values=tuple(t_values),
-                                    n_survivors=tuple(survivors))
-    nu_hat = MeshMeasure.from_unnormalized(mesh, mins)
-    return MinorizationEstimate(c1=c1, c1_lower=float(mins_lower.sum()),
-                                nu_hat=nu_hat, probes=tuple(probes),
-                                t_values=tuple(t_values),
-                                n_survivors=tuple(survivors))
 
 
 # ---------------------------------------------------------------------------

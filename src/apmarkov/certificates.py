@@ -11,13 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
-from .invariant import (_GH_ORDER, _folded_cell_masses, _gauss_hermite,
-                        gaussian_kernel_matrix)
-from .measures import Mesh, MeshMeasure, psi_distance
+from .invariant import _GH_ORDER, _gauss_hermite
+from .measures import Mesh, MeshMeasure
 from .ou import GaussianTransition, _ndtr, transition_params
 from .paths import SimulationError
 from .timefns import TimeFunction
@@ -27,13 +26,8 @@ __all__ = [
     "quadratic_psi",
     "DriftCertificate",
     "MinorizationCertificate",
-    "DoeblinReport",
     "check_drift",
-    "suggest_compact_set",
-    "check_growth",
     "gaussian_class_minorization",
-    "doeblin_from_minorization",
-    "contraction_rate_fit",
     "default_certificate_mesh",
 ]
 
@@ -51,8 +45,8 @@ def default_certificate_mesh() -> Mesh:
 class GaussianKernel:
     """Transition evaluator of the exact OU kernel for a given drift.
 
-    Wraps the closed-form Gaussian transitions with expectation, cell-mass
-    and mesh-propagation helpers used by the certificate checks.
+    Wraps the closed-form Gaussian transitions (cached per window) with the
+    expectation the drift check uses.
     """
 
     def __init__(self, drift: TimeFunction):
@@ -78,17 +72,6 @@ class GaussianKernel:
         nodes, weights = self._gh
         y = tr.m * x[..., None] + tr.sigma * nodes
         return np.asarray(f(y), dtype=float) @ weights
-
-    def cell_mass(self, s: float, t: float, x: float, mesh: Mesh) -> np.ndarray:
-        """Law of one step from x, as cell masses with tails folded in."""
-        tr = self.params(s, t)
-        return _folded_cell_masses(tr.m, tr.sigma, np.array([float(x)]), mesh)[0]
-
-    def propagate(self, mu: MeshMeasure, s: float, t: float) -> MeshMeasure:
-        """Push a mesh measure through the kernel (tails folded to edges)."""
-        tr = self.params(s, t)
-        k = gaussian_kernel_matrix(tr.m, tr.sigma, mu.mesh)
-        return MeshMeasure(mu.mesh, mu.weights @ k)
 
 
 # ---------------------------------------------------------------------------
@@ -141,34 +124,6 @@ def check_drift(kernel: GaussianKernel, psi: Callable[[np.ndarray], np.ndarray],
                             valid=bool(residual[i] <= 0.0))
 
 
-def suggest_compact_set(kernel: GaussianKernel, s: float, t1: float,
-                        theta: float) -> Tuple[float, float]:
-    """Smallest K = [-k, k] and minimal C for psi = 1 + x^2, in closed form.
-
-    With (m, sigma) over the window, (P psi)(x) - theta psi(x) =
-    (1 + sigma^2 - theta) + (m^2 - theta) x^2, so theta > m^2 forces the
-    residual negative for x^2 > (1 + sigma^2 - theta)/(theta - m^2).
-    """
-    tr = kernel.params(s, s + t1)
-    if theta <= tr.m ** 2:
-        raise ValueError(f"theta must exceed m^2 = {tr.m ** 2!r} for a compact K")
-    c_min = 1.0 + tr.sigma ** 2 - theta
-    k_edge = math.sqrt(c_min / (theta - tr.m ** 2))
-    return k_edge, c_min
-
-
-def check_growth(kernel: GaussianKernel, psi: Callable[[np.ndarray], np.ndarray],
-                 s: float, t_values: Sequence[float]) -> float:
-    """sup over the default mesh and t in t_values of (P_{s,s+t} psi) / psi."""
-    x = default_certificate_mesh().centers()
-    psi_x = np.asarray(psi(x), dtype=float)
-    worst = -math.inf
-    for t in t_values:
-        ratio = kernel.apply(s, s + t, psi, x) / psi_x
-        worst = max(worst, float(ratio.max()))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # minorization
 # ---------------------------------------------------------------------------
@@ -191,10 +146,6 @@ class MinorizationCertificate:
     n_members_checked: int = 0
     n_violations: int = 0
     worst_margin: float = field(default=math.inf)
-
-    @property
-    def degenerate(self) -> bool:
-        return self.c == 0.0
 
     def to_json(self) -> str:
         return json.dumps({
@@ -279,78 +230,3 @@ def gaussian_class_minorization(a: float, b_minus: float, b_plus: float,
                                    n_members_checked=n_members,
                                    n_violations=int(np.count_nonzero(margins < -1e-12)),
                                    worst_margin=float(margins.min(initial=math.inf)))
-
-
-@dataclass(frozen=True)
-class DoeblinReport:
-    """Cell-wise check of delta_x P_{s, s+n0 t1} >= c nu over probes and s."""
-
-    worst_margin: float
-    worst_probe: float
-    worst_s: float
-    valid: bool
-    degenerate: bool
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "kind": "doeblin", "worst_margin": self.worst_margin,
-            "worst_probe": self.worst_probe, "worst_s": self.worst_s,
-            "valid": self.valid, "degenerate": self.degenerate,
-        }, sort_keys=True)
-
-
-def doeblin_from_minorization(cert: MinorizationCertificate,
-                              s_values: Iterable[float],
-                              probes: Iterable[float],
-                              kernel: GaussianKernel) -> DoeblinReport:
-    """Verify the kernel's one-window laws dominate c * nu cell-wise."""
-    floor = cert.c * cert.nu.weights
-    worst = math.inf
-    w_probe = w_s = math.nan
-    for s in s_values:
-        for x in probes:
-            mass = kernel.cell_mass(s, s + cert.n0 * cert.t1, x, cert.nu.mesh)
-            margin = float((mass - floor).min())
-            if margin < worst:
-                worst, w_probe, w_s = margin, x, s
-    # tolerance absorbs rounding where c * nu touches the kernel law (a class
-    # of one member) and nu's renormalization to the mesh
-    return DoeblinReport(worst_margin=worst, worst_probe=w_probe, worst_s=w_s,
-                         valid=bool(worst >= -1e-9), degenerate=cert.degenerate)
-
-
-# ---------------------------------------------------------------------------
-# contraction-rate fit
-# ---------------------------------------------------------------------------
-
-def contraction_rate_fit(propagate: Callable[[MeshMeasure, float, float], MeshMeasure],
-                         mu1: MeshMeasure, mu2: MeshMeasure,
-                         psi: Callable[[np.ndarray], np.ndarray],
-                         horizons: Sequence[float]) -> Tuple[float, float, float]:
-    """Least-squares fit of log psi-distance against the horizon.
-
-    ``propagate(mu, s, t)`` pushes a measure from time s to t; here s = 0.
-    Returns (C', kappa, R^2) for the model distance(t) ~ C' (mu1(psi) +
-    mu2(psi)) exp(-kappa t).  Horizons where the distance underflows are
-    truncated; identical inputs yield the kappa = +inf sentinel.
-    """
-    horizons = sorted(horizons)
-    if len(horizons) < 3:
-        raise ValueError("need at least 3 horizons")
-    dists = []
-    for t in horizons:
-        d = psi_distance(propagate(mu1, 0.0, t), propagate(mu2, 0.0, t), psi)
-        dists.append(d)
-    ts = np.asarray(horizons, dtype=float)
-    ds = np.asarray(dists, dtype=float)
-    keep = ds > 1e-14
-    if keep.sum() < 3:
-        return 0.0, math.inf, 1.0
-    ts, ds = ts[keep], ds[keep]
-    slope, intercept = np.polyfit(ts, np.log(ds), 1)
-    fitted = slope * ts + intercept
-    ss_res = float(np.sum((np.log(ds) - fitted) ** 2))
-    ss_tot = float(np.sum((np.log(ds) - np.log(ds).mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    mass = mu1.expectation(psi) + mu2.expectation(psi)
-    return float(math.exp(intercept) / mass), float(-slope), r2

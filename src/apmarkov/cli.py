@@ -150,6 +150,12 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: Path, artifacts: list[str],
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _unusable_out(out: Path, exc: OSError) -> int:
+    print(f"configuration error: --out {str(out)!r} is not a usable directory: {exc}",
+          file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apmarkov",
@@ -194,20 +200,26 @@ def main(argv=None) -> int:
         out = Path(args.out) if args.out else Path(cfg.out or ".")
         if out.suffix == ".csv":
             out = out.parent if str(out.parent) else Path(".")
-        out.mkdir(parents=True, exist_ok=True)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _unusable_out(out, exc)
+    try:
         t1 = time.perf_counter()
         artifacts = run_experiment(cfg)
         t2 = time.perf_counter()
-        _write_artifacts(out, artifacts)
-        timings = {"load": t1 - t0, "run": t2 - t1, "write": time.perf_counter() - t2}
-        _write_manifest(cfg, out, list(artifacts), timings)
     except (SimulationError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    try:
+        _write_artifacts(out, artifacts)
+        timings = {"load": t1 - t0, "run": t2 - t1, "write": time.perf_counter() - t2}
+        _write_manifest(cfg, out, list(artifacts), timings)
+    except OSError as exc:
+        return _unusable_out(out, exc)
     for name in artifacts:
         print(out / name)
     return EXIT_OK

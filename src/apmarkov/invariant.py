@@ -30,7 +30,6 @@ __all__ = [
     "gaussian_kernel_matrix",
     "power_iteration_invariant",
     "limiting_value",
-    "default_skeleton_mesh",
 ]
 
 
@@ -69,13 +68,6 @@ def invariant_gaussian(spec: OUSpec) -> Tuple[float, float]:
     provided a < 1.
     """
     return 0.0, skeleton_fixed_point_variance(SkeletonMap.from_spec(spec))
-
-
-def default_skeleton_mesh(spec: OUSpec) -> Mesh:
-    """400 cells truncated at +- 6 standard deviations of the analytic invariant."""
-    _, var = invariant_gaussian(spec)
-    half = 6.0 * math.sqrt(var) if var > 0 else 1.0
-    return Mesh(x_min=-half, x_max=half, n_cells=400)
 
 
 def _folded_cell_masses(m: float, sigma: float, x: np.ndarray, mesh: Mesh) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Measures on uniform 1-d meshes: the discrete stand-in for probability laws.
 
-A MeshMeasure is a probability vector over uniform cells of [x_min, x_max].
+A MeshMeasure is a probability vector over uniform cells of [x_min, x_max],
+built from unnormalized cell masses; tv_distance compares two on one mesh.
 It backs the skeleton invariant-measure oracle, minorization certificates,
 conditioned-law histograms and occupation measures.
 """
@@ -12,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Mesh", "MeshMeasure", "tv_distance", "psi_distance"]
+__all__ = ["Mesh", "MeshMeasure", "tv_distance"]
 
 
 @dataclass(frozen=True)
@@ -72,21 +73,6 @@ class MeshMeasure:
             raise ValueError("total mass must be positive")
         return MeshMeasure(mesh, mass / total)
 
-    @staticmethod
-    def from_density(mesh: Mesh, density: Callable[[np.ndarray], np.ndarray]) -> "MeshMeasure":
-        """Discretize a density by 8-point midpoint-composite integration per cell."""
-        e = mesh.edges()
-        offs = (np.arange(8) + 0.5) / 8 * mesh.width
-        pts = e[:-1, None] + offs[None, :]
-        mass = np.asarray(density(pts), dtype=float).mean(axis=1) * mesh.width
-        return MeshMeasure.from_unnormalized(mesh, mass)
-
-    @staticmethod
-    def point_mass(mesh: Mesh, x: float) -> "MeshMeasure":
-        w = np.zeros(mesh.n_cells)
-        w[int(mesh.cell_index(x))] = 1.0
-        return MeshMeasure(mesh, w)
-
     def expectation(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
         return float(np.sum(self.weights * np.asarray(f(self.mesh.centers()), dtype=float)))
 
@@ -104,27 +90,8 @@ class MeshMeasure:
         return list(zip(self.mesh.centers().tolist(), self.weights.tolist()))
 
 
-def _check_shared(mu: MeshMeasure, nu: MeshMeasure):
-    if mu.mesh != nu.mesh:
-        raise ValueError(f"mesh mismatch: {mu.mesh} vs {nu.mesh}")
-
-
 def tv_distance(mu: MeshMeasure, nu: MeshMeasure) -> float:
     """Total variation in [0, 1]: half the L1 distance of the weights."""
-    _check_shared(mu, nu)
+    if mu.mesh != nu.mesh:
+        raise ValueError(f"mesh mismatch: {mu.mesh} vs {nu.mesh}")
     return 0.5 * float(np.abs(mu.weights - nu.weights).sum())
-
-
-def psi_distance(mu: MeshMeasure, nu: MeshMeasure,
-                 psi: Callable[[np.ndarray], np.ndarray]) -> float:
-    """sup over |f| <= psi of |mu(f) - nu(f)| on the shared mesh.
-
-    The discrete supremum is attained by f = psi * sign(mu - nu), so the
-    distance is sum_cells psi(x_cell) |mu_cell - nu_cell|.  With psi == 1
-    this is twice the total variation distance.
-    """
-    _check_shared(mu, nu)
-    psi_vals = np.asarray(psi(mu.mesh.centers()), dtype=float)
-    if np.any(psi_vals < 1.0 - 1e-12):
-        raise ValueError("psi must be >= 1 on the mesh")
-    return float(np.sum(psi_vals * np.abs(mu.weights - nu.weights)))

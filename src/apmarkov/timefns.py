@@ -44,7 +44,6 @@ __all__ = [
     "parse_time_function",
     "simpson_profile",
     "grid_steps",
-    "derivative",
 ]
 
 
@@ -437,7 +436,3 @@ def simpson_profile(vals: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndar
     at_mids = at_nodes[..., :-1] + (delta / 24.0) * (5.0 * f0 + 8.0 * f1 - f2)
     return at_nodes, at_mids
 
-
-def derivative(f: TimeFunction, t: float, order: int = 1) -> float:
-    """Analytic derivative of order 1 or 2 at time t."""
-    return float(f.derivative_fn(order)(t))

@@ -8,6 +8,7 @@ not from the code under test.
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.stats import norm
 
 
@@ -90,6 +91,43 @@ def ou_constant_variance(lam0: float, dt: float) -> float:
     if lam0 == 0.0:
         return dt
     return (1.0 - np.exp(-2.0 * lam0 * dt)) / (2.0 * lam0)
+
+
+def ou_grid_params_quad(lam, dt: float, n_steps: int):
+    """(m_k, sigma_k) of the exact step X_{k+1} = m_k X_k + sigma_k Z_k of
+    dX = dW - lam(t) X dt on t_k = k dt, by adaptive quadrature of a scalar
+    lam: m_k = exp(-int_{t_k}^{t_{k+1}} lam) and sigma_k^2 =
+    int_{t_k}^{t_{k+1}} exp(-2 int_u^{t_{k+1}} lam) du."""
+    m, sig = np.empty(n_steps), np.empty(n_steps)
+    for k in range(n_steps):
+        a, b = k * dt, (k + 1) * dt
+        m[k] = math.exp(-quad(lam, a, b)[0])
+        sig[k] = math.sqrt(quad(lambda u: math.exp(-2.0 * quad(lam, u, b)[0]), a, b)[0])
+    return m, sig
+
+
+def x2_average_moments(m, sig, dt: float, n_steps: int):
+    """Exact (E A_t, Var A_t) of the trapezoid average A_t of X^2 over the
+    first n_steps steps (t = n_steps dt) of the AR(1) chain with X_0 = 0.
+
+    t A_t = sum_k w_k X_k^2 with w = dt (dt/2 at both ends).  X_k ~ N(0, v_k)
+    with v_{k+1} = m_k^2 v_k + sigma_k^2, and Cov(X_k^2, X_j^2) = 2 C_kj^2
+    (Isserlis) with C_kj = v_k m_k ... m_{j-1} for j > k, so
+    t E A_t = sum w_k v_k and t^2 Var A_t = sum 2 w_k^2 v_k^2 + 4 sum w_k v_k^2 S_k,
+    where S_k = m_k^2 (w_{k+1} + S_{k+1}) and S_n = 0.
+    """
+    w = np.full(n_steps + 1, dt)
+    w[[0, -1]] = dt / 2.0
+    v = np.zeros(n_steps + 1)
+    for k in range(n_steps):
+        v[k + 1] = m[k] ** 2 * v[k] + sig[k] ** 2
+    S = np.zeros(n_steps + 1)
+    for k in range(n_steps - 1, -1, -1):
+        S[k] = m[k] ** 2 * (w[k + 1] + S[k + 1])
+    t = n_steps * dt
+    mean = float(np.sum(w * v)) / t
+    var = float(np.sum(2.0 * w ** 2 * v ** 2) + 4.0 * np.sum(w * v ** 2 * S)) / t ** 2
+    return mean, var
 
 
 def _dirichlet_modes(y, k):

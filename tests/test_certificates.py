@@ -6,17 +6,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from apmarkov import certificates
-from apmarkov.certificates import (GaussianKernel, MinorizationCertificate,
-                                   check_drift, check_growth, contraction_rate_fit,
+from apmarkov.certificates import (GaussianKernel, check_drift,
                                    default_certificate_mesh,
-                                   doeblin_from_minorization,
-                                   gaussian_class_minorization, quadratic_psi,
-                                   suggest_compact_set)
-from apmarkov.measures import Mesh, MeshMeasure, psi_distance
+                                   gaussian_class_minorization, quadratic_psi)
+from apmarkov.measures import Mesh, MeshMeasure, tv_distance
 from apmarkov.ou import default_ou_spec
 from apmarkov.timefns import const
 
-from oracles import gaussian_class_member_check, gaussian_tv_exact
+from oracles import gaussian_class_member_check
 
 UNIT = const(1.0, lower=1.0, upper=1.0)
 ZERO = const(0.0, lower=0.0, upper=0.0)
@@ -58,19 +55,23 @@ def test_constant_psi_certificate_trivially_valid():
     assert cert.max_residual == pytest.approx(-0.5, rel=1e-12)
 
 
-def test_suggest_compact_set_closed_form():
+def closed_form_compact_set(kernel, s, theta):
+    """(k, c_min) for psi = 1 + x^2 over [s, s + 1]: P psi - theta psi =
+    (1 + sigma^2 - theta) + (m^2 - theta) x^2 is <= c_min, and <= 0 for
+    |x| > k = sqrt(c_min / (theta - m^2))."""
+    tr = kernel.params(s, s + 1.0)
+    c_min = 1.0 + tr.sigma ** 2 - theta
+    return math.sqrt(c_min / (theta - tr.m ** 2)), c_min
+
+
+def test_closed_form_compact_set_certifies_drift():
     kernel = GaussianKernel(UNIT)
-    k_edge, c_min = suggest_compact_set(kernel, s=0.0, t1=1.0, theta=0.5)
+    k_edge, c_min = closed_form_compact_set(kernel, s=0.0, theta=0.5)
     assert c_min == pytest.approx(1.0 + S2 - 0.5, rel=1e-9)
     assert k_edge == pytest.approx(math.sqrt(c_min / (0.5 - M2)), rel=1e-9)
     cert = check_drift(kernel, quadratic_psi, s=0.0, t1=1.0, theta=0.5,
                        C=c_min + 1e-6, k_edge=k_edge + 1e-6)
     assert cert.valid
-
-
-def test_suggest_compact_set_requires_theta_above_m2():
-    with pytest.raises(ValueError, match="m\\^2"):
-        suggest_compact_set(GaussianKernel(UNIT), s=0.0, t1=1.0, theta=0.1)
 
 
 def test_check_drift_parameter_validation():
@@ -87,21 +88,19 @@ def test_check_drift_parameter_validation():
 # -- growth ratios ---------------------------------------------------------------
 
 def test_growth_ratio_identity_window():
-    assert check_growth(GaussianKernel(UNIT), quadratic_psi, 0.0, [0.0]) \
-        == pytest.approx(1.0, rel=1e-12)
+    # P_{s,s} psi = psi, so the growth ratio is 1 everywhere
+    x = default_certificate_mesh().centers()
+    p_psi = GaussianKernel(UNIT).apply(0.0, 0.0, quadratic_psi, x)
+    assert p_psi == pytest.approx(quadratic_psi(x), rel=1e-12)
+    assert (p_psi / quadratic_psi(x)).max() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_growth_ratio_brownian_peaks_at_two():
     # lam = 0, t = 1: P psi(x) = psi(x) + 1, maximized ratio 2 at x = 0
-    ratio = check_growth(GaussianKernel(ZERO), quadratic_psi, 0.0, [1.0])
-    assert ratio == pytest.approx(2.0, rel=1e-9)
-
-
-def test_growth_ratio_bounded_for_nonnegative_drift():
-    spec = default_ou_spec()
-    t_values = [0.0, 0.25, 0.5, 0.75, 0.99]
-    ratio = check_growth(GaussianKernel(spec.lam), quadratic_psi, 0.3, t_values)
-    assert ratio <= 1.0 + max(t_values)
+    x = default_certificate_mesh().centers()
+    p_psi = GaussianKernel(ZERO).apply(0.0, 1.0, quadratic_psi, x)
+    assert p_psi == pytest.approx(quadratic_psi(x) + 1.0, rel=1e-9)
+    assert (p_psi / quadratic_psi(x)).max() == pytest.approx(2.0, rel=1e-9)
 
 
 def test_valid_certificate_implies_window_growth_bound():
@@ -109,13 +108,15 @@ def test_valid_certificate_implies_window_growth_bound():
     spec = default_ou_spec()
     kernel = GaussianKernel(spec.lam)
     theta = 0.6
+    x = default_certificate_mesh().centers()
     for s in (0.0, 0.3, 1.1, 2.6):
-        k_edge, c_min = suggest_compact_set(kernel, s=s, t1=1.0, theta=theta)
+        k_edge, c_min = closed_form_compact_set(kernel, s=s, theta=theta)
         c_val = c_min + 0.05
         cert = check_drift(kernel, quadratic_psi, s=s, t1=1.0, theta=theta,
                            C=c_val, k_edge=k_edge + 0.1)
         assert cert.valid
-        worst = check_growth(kernel, quadratic_psi, s, [0.0, 0.25, 0.5, 0.75, 0.99])
+        worst = max((kernel.apply(s, s + t, quadratic_psi, x) / quadratic_psi(x)).max()
+                    for t in (0.0, 0.25, 0.5, 0.75, 0.99))
         assert worst <= c_val * (1.0 + c_val / (1.0 - theta))
 
 
@@ -195,129 +196,13 @@ def test_minorization_rejects_bad_parameters():
         gaussian_class_minorization(a=math.nan, b_minus=1.0, b_plus=2.0)
 
 
-# -- Doeblin from minorization ----------------------------------------------------
+# -- distances ------------------------------------------------------------------
 
-def test_unit_drift_doeblin_valid():
-    # one-window laws from K = [-1.6, 1.6] form the Gaussian class with
-    # a = 1.6 m, b_minus = b_plus = sigma; the lemma certificate dominates
-    kernel = GaussianKernel(UNIT)
-    tr = kernel.params(0.0, 1.0)
-    cert = gaussian_class_minorization(a=1.6 * tr.m, b_minus=tr.sigma,
-                                       b_plus=tr.sigma, n_members=100, seed=2)
-    report = doeblin_from_minorization(cert, s_values=[0.0, 0.5],
-                                       probes=np.linspace(-1.6, 1.6, 9),
-                                       kernel=kernel)
-    assert report.valid
-    assert not report.degenerate
-    assert report.worst_margin >= -1e-9
-
-
-def test_degenerate_certificate_flagged():
-    mesh = Mesh(-8.0, 8.0, 2001)
-    cert = MinorizationCertificate(
-        c=0.0, nu=MeshMeasure(mesh, np.full(2001, 1.0 / 2001)), n0=1, t1=1.0,
-        a=0.0, b_minus=1.0, b_plus=1.0)
-    report = doeblin_from_minorization(cert, [0.0], [0.0], GaussianKernel(UNIT))
-    assert report.valid
-    assert report.degenerate
-
-
-def test_unreachable_support_invalidates():
-    mesh = Mesh(-8.0, 8.0, 2001)
-    weights = np.zeros(2001)
-    weights[int(mesh.cell_index(7.5))] = 1.0  # support far outside kernel range
-    cert = MinorizationCertificate(c=0.5, nu=MeshMeasure(mesh, weights), n0=1,
-                                   t1=1.0, a=0.0, b_minus=1.0, b_plus=1.0)
-    report = doeblin_from_minorization(cert, [0.0], [0.0], GaussianKernel(UNIT))
-    assert not report.valid
-    assert report.worst_margin < -0.4
-
-
-# -- psi distances and contraction fits -------------------------------------------
-
-def test_psi_distance_identical_measures():
-    mesh = Mesh(-2.0, 2.0, 50)
-    mu = MeshMeasure.from_density(mesh, lambda x: np.exp(-x ** 2))
-    assert psi_distance(mu, mu, one) == 0.0
-
-
-def test_psi_distance_disjoint_unit_masses():
-    mesh = Mesh(0.0, 1.0, 4)
-    mu = MeshMeasure(mesh, np.array([1.0, 0.0, 0.0, 0.0]))
-    nu = MeshMeasure(mesh, np.array([0.0, 0.0, 0.0, 1.0]))
-    assert psi_distance(mu, nu, one) == pytest.approx(2.0)
-
-
-def test_psi_distance_gaussians_matches_tv_oracle():
-    mesh = Mesh(-10.0, 11.0, 4201)
-    mu = MeshMeasure.from_density(mesh, lambda x: norm.pdf(x, 0.0, 1.0))
-    nu = MeshMeasure.from_density(mesh, lambda x: norm.pdf(x, 1.0, 1.0))
-    expected = 2.0 * gaussian_tv_exact(0.0, 1.0, 1.0, 1.0)
-    assert psi_distance(mu, nu, one) == pytest.approx(expected, abs=1e-4)
-
-
-def test_psi_distance_unit_weight_doubles_tv():
-    from apmarkov.measures import tv_distance
-    mesh = Mesh(-3.0, 3.0, 60)
-    gen = np.random.default_rng(14)
-    for _ in range(10):
-        mu = MeshMeasure.from_unnormalized(mesh, gen.random(60))
-        nu = MeshMeasure.from_unnormalized(mesh, gen.random(60))
-        assert psi_distance(mu, nu, one) == pytest.approx(
-            2.0 * tv_distance(mu, nu), rel=1e-12)
-
-
-def test_psi_distance_mesh_mismatch():
+def test_tv_distance_mesh_mismatch():
     mu = MeshMeasure(Mesh(0.0, 1.0, 2), np.array([0.5, 0.5]))
     nu = MeshMeasure(Mesh(0.0, 2.0, 2), np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="mesh"):
-        psi_distance(mu, nu, one)
-
-
-def test_contraction_fit_identical_inputs_sentinel():
-    mesh = Mesh(-2.0, 2.0, 20)
-    mu = MeshMeasure.from_density(mesh, lambda x: np.exp(-x ** 2))
-    kernel = GaussianKernel(UNIT)
-    c_fit, kappa, _ = contraction_rate_fit(kernel.propagate, mu, mu, one,
-                                           [1.0, 2.0, 3.0])
-    assert math.isinf(kappa)
-    assert c_fit == 0.0
-
-
-def test_contraction_fit_unit_drift_rate_near_one():
-    mesh = Mesh(-6.0, 6.0, 1201)
-    mu1 = MeshMeasure.point_mass(mesh, 0.0)
-    mu2 = MeshMeasure.point_mass(mesh, 1.0)
-    kernel = GaussianKernel(UNIT)
-    _, kappa, r2 = contraction_rate_fit(kernel.propagate, mu1, mu2, one,
-                                        [1.0, 1.5, 2.0, 2.5, 3.0])
-    assert 0.8 <= kappa <= 1.2
-    assert r2 > 0.99
-
-
-def test_contraction_fit_two_state_spectral_gap():
-    mesh = Mesh(0.0, 2.0, 2)
-    k = np.array([[0.75, 0.25], [0.25, 0.75]])  # eigenvalues 1 and 1/2
-
-    def propagate(mu, s, t):
-        w = mu.weights.copy()
-        for _ in range(int(round(t - s))):
-            w = w @ k
-        return MeshMeasure(mesh, w)
-
-    mu1 = MeshMeasure(mesh, np.array([1.0, 0.0]))
-    mu2 = MeshMeasure(mesh, np.array([0.0, 1.0]))
-    _, kappa, r2 = contraction_rate_fit(propagate, mu1, mu2, one,
-                                        [1.0, 2.0, 3.0, 4.0, 5.0])
-    assert kappa == pytest.approx(math.log(2.0), rel=1e-6)
-    assert r2 > 0.999999
-
-
-def test_contraction_fit_requires_three_horizons():
-    mesh = Mesh(-1.0, 1.0, 4)
-    mu = MeshMeasure(mesh, np.full(4, 0.25))
-    with pytest.raises(ValueError):
-        contraction_rate_fit(GaussianKernel(UNIT).propagate, mu, mu, one, [1.0, 2.0])
+        tv_distance(mu, nu)
 
 
 def test_certificate_json_round_trip_fields():

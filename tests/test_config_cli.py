@@ -141,16 +141,37 @@ def test_cli_minimal_ergodic_run(tmp_path, capsys):
     assert set(manifest["versions"]) == {"apmarkov", "numpy", "python"}
 
 
+def run_fresh(*args, check=True):
+    """Run the interpreter with apmarkov's source first on its path."""
+    src = str(Path(apmarkov.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, check=check)
+
+
 def test_cli_import_loads_no_scipy():
     # a fresh interpreter, so the modules the test session loaded do not count
     code = ("import apmarkov.cli, sys; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = str(Path(apmarkov.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True).stdout
-    assert out.strip() == "[]"
+    assert run_fresh("-c", code).stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("case", ["out-is-a-file", "out-below-a-file",
+                                  "artifact-is-a-directory"])
+def test_cli_unusable_out_exit_2(tmp_path, case):
+    out = tmp_path / "out"
+    if case == "artifact-is-a-directory":
+        (out / "certificates.jsonl").mkdir(parents=True)
+    else:
+        out.write_text("")
+        if case == "out-below-a-file":
+            out = out / "sub"
+    res = run_fresh("-m", "apmarkov.cli", "run", "--config",
+                    str(CONFIGS / "drift_certificate.json"), "--out", str(out), check=False)
+    assert res.returncode == 2
+    assert "--out" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_library_imports_only_numpy_and_the_standard_library():
@@ -165,6 +186,33 @@ def test_library_imports_only_numpy_and_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def test_library_imports_are_used_and_all_names_are_defined():
+    for path in sorted(Path(apmarkov.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {(a.asname or a.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for a in node.names}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        if path.name != "__init__.py":  # there, the imports are the package's exports
+            assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
+        defined, exported = set(), []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                defined |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+                defined |= names
+                if "__all__" in names:
+                    exported = ast.literal_eval(node.value)
+        assert set(exported) <= defined, \
+            f"{path.name} __all__ names undefined {sorted(set(exported) - defined)}"
 
 
 def test_cli_validation_failure_exit_2(tmp_path, capsys):

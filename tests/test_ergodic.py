@@ -1,3 +1,4 @@
+import math
 import threading
 import tracemalloc
 from itertools import product
@@ -13,6 +14,8 @@ from apmarkov.ergodic import (default_checkpoints, ergodic_time_averages,
 from apmarkov.ou import OUSpec, default_ou_spec, transition_params
 from apmarkov.paths import Observable
 from apmarkov.rng import make_generator
+
+from oracles import ou_grid_params_quad, x2_average_moments
 
 ONE = Observable("one", lambda x: np.ones_like(x), bound=1.0)
 X2 = Observable("x2", lambda x: x * x)
@@ -150,6 +153,36 @@ def test_l2_error_decays_with_horizon():
     assert -1.3 <= report.var_slope <= -0.7
     final_gap = abs(report.mean_avg[-1] - report.limit)
     assert final_gap <= 4.0 * report.stderr[-1]
+
+
+def test_l2_report_matches_the_exact_ar1_moments():
+    # ergodic_default's model, observable, start, dt, replicas and seed, up to
+    # t = 10.  Each report column must lie within 3 of its own standard errors
+    # of the exact moments of the engine's trapezoid average.
+    spec = default_ou_spec()
+
+    def lam(t):  # spec.lam, written out for scipy's quadrature
+        return (1 + 0.5 * math.sin(2 * math.pi * t)) * (1 + 0.3 * math.exp(-0.7 * t))
+
+    grid = np.linspace(0.0, 10.0, 41)
+    np.testing.assert_allclose(spec.lam(grid), [lam(t) for t in grid], rtol=1e-14)
+    dt, t_values, n, seed = 0.01, [1.0, 10.0], 1000, 12345
+    report = run_l2_experiment(spec, X2, point_initial(0.0), t_values, n_replicas=n,
+                               dt=dt, seed=seed)
+    avgs = ergodic_time_averages(spec.lam, X2, point_initial(0.0), t_values, dt, n, seed)
+    m, sig = ou_grid_params_quad(lam, dt, int(round(t_values[-1] / dt)))
+    for j, t in enumerate(t_values):
+        mean, var = x2_average_moments(m, sig, dt, int(round(t / dt)))
+        a = avgs[:, j]
+        assert abs(report.mean_avg[j] - mean) <= 3.0 * report.stderr[j]
+        # the sample variance's SE, from the replicas' fourth central moment
+        m4 = np.mean((a - a.mean()) ** 4)
+        se_var = math.sqrt((m4 - (n - 3) / (n - 1) * report.var[j] ** 2) / n)
+        assert abs(report.var[j] - var) <= 3.0 * se_var
+        # l2_err is the replica mean of (A_t - L)^2, whose expectation is
+        # Var A_t + (E A_t - L)^2
+        se_l2 = np.std((a - report.limit) ** 2, ddof=1) / math.sqrt(n)
+        assert abs(report.l2_err[j] - (var + (mean - report.limit) ** 2)) <= 3.0 * se_l2
 
 
 def test_default_checkpoints_follow_squares_and_decades():

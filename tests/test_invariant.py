@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from apmarkov.invariant import (ContractionError, PowerIterationError, SkeletonMap,
-                                default_skeleton_mesh, gaussian_kernel_matrix,
+                                gaussian_kernel_matrix,
                                 invariant_gaussian, limiting_value,
                                 power_iteration_invariant,
                                 skeleton_fixed_point_variance,
@@ -116,13 +116,6 @@ def test_kernel_matrix_degenerate_sigma():
     mu = MeshMeasure(mesh, np.full(8, 0.125))
     pushed = MeshMeasure(mesh, mu.weights @ k)
     assert pushed.mesh == mesh
-
-
-def test_default_mesh_spans_six_sds():
-    spec = unit_g_spec()
-    mesh = default_skeleton_mesh(spec)
-    assert mesh.x_max == pytest.approx(6.0 * math.sqrt(0.5), rel=1e-8)
-    assert mesh.n_cells == 400
 
 
 # -- limiting value -----------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from apmarkov.timefns import (TimeFunction, TimeFunctionError, TimeGrid, _Add, _Const,
                               _Cos, _Div, _Exp, _Mul, _Pow, _Sin, _Sub, _Var, _mul,
-                              const, derivative, parse_time_function, simpson_profile)
+                              const, parse_time_function, simpson_profile)
 
 RNG = np.random.default_rng(2024)
 
@@ -157,20 +157,20 @@ def test_format_parse_round_trip(pair):
 # -- derivatives -------------------------------------------------------------
 
 def test_derivative_of_constant_is_zero():
-    assert derivative(const(3.7), 1.2, order=1) == 0.0
-    assert derivative(const(3.7), 1.2, order=2) == 0.0
+    assert const(3.7).derivative_fn(1)(1.2) == 0.0
+    assert const(3.7).derivative_fn(2)(1.2) == 0.0
 
 
 def test_derivative_sin_frozen_values():
     h = parse_time_function("sin(2*pi*t)")
-    assert derivative(h, 0.0, order=1) == pytest.approx(2 * math.pi, rel=1e-14)
-    assert derivative(h, 0.0, order=2) == pytest.approx(0.0, abs=1e-12)
+    assert h.derivative_fn(1)(0.0) == pytest.approx(2 * math.pi, rel=1e-14)
+    assert h.derivative_fn(2)(0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_derivative_order_validation():
     f = parse_time_function("t")
     with pytest.raises(TimeFunctionError):
-        derivative(f, 0.0, order=3)
+        f.derivative_fn(3)
 
 
 @pytest.mark.parametrize("text,_", CORPUS)
