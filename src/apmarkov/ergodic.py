@@ -7,14 +7,13 @@ generator call (one stream however it is cut), so reports reproduce exactly
 and are invariant to chunking, batching and thread count.  States are
 advanced by the exact one-step Gaussian recursion x -> m_k x + sigma_k z;
 whole windows of steps are unrolled with prefix products, which reassociates
-floating-point sums only (documented tolerance 1e-12).  Threads run batches
-of at most _MAX_BATCH_ELEMS replica-steps, so they help only from 2 batches.
+floating-point sums only (documented tolerance 1e-12).  Threads run waves of
+batches that share window parameters, so they help only from 2 batches.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
@@ -40,7 +39,8 @@ __all__ = [
 
 _WINDOW = 256  # steps unrolled per prefix-product window
 _CHUNK = 4  # windows of normals drawn per replica per generator call
-_MAX_BATCH_ELEMS = int(2e7)  # replica-steps per batch; batches go to the thread pool
+_BLOCK = 16  # windows of transition parameters computed at a time for a wave
+_MAX_BATCH_ELEMS = int(2e7)  # replica-steps per batch; waves of batches go to the pool
 
 
 InitialSampler = Callable[[np.random.Generator], float]
@@ -80,41 +80,56 @@ def _checkpoint_steps(t_values: Sequence[float], dt: float, n_steps: int) -> Lis
     return steps
 
 
-def _run_batch(replicas: range, drift, f, initial, grid: TimeGrid,
-               check_steps: List[int], seed: int, out: np.ndarray) -> None:
-    """Advance the replicas window by window in reused work buffers: x_{j+1}
-    = P_j (x0 + sum_{i<=j} sigma_i z_i / P_i) with P the prefix products of m,
-    exact up to float reassociation while P stays in range (256 steps, drift <= 2)."""
-    n_rep, dt = len(replicas), grid.dt
+def _run_batch(replicas: range, f, initial, dt: float, n_steps: int,
+               check_steps: List[int], seed: int, out: np.ndarray):
+    """Generator: advances the replicas by each list of windows (k0, m, sigma) sent to
+    it: x_{j+1} = P_j (x0 + sum_{i<=j} sigma_i z_i / P_i), P = cumprod(m), exact up to
+    reassociation while P stays in range (256 steps, drift <= 2).  Step-major trapezoid
+    sums keep cumsum's order without the GIL (2+ columns: numpy sums one pairwise)."""
+    n_rep = len(replicas)
     gens = [make_generator(seed, r) for r in replicas]
     x = np.array([float(initial(g)) for g in gens])
     f_prev = np.asarray(f(x), dtype=float)
-    running = np.zeros(n_rep)
-    z = np.empty((n_rep, min(_CHUNK * _WINDOW, grid.n_steps)))
-    states, cum = np.empty((2, n_rep, min(_WINDOW, grid.n_steps)))
-    for k0 in range(0, grid.n_steps, _WINDOW):
-        w, c0 = min(_WINDOW, grid.n_steps - k0), k0 % (_CHUNK * _WINDOW)
-        if c0 == 0:  # one generator call per replica for the next _CHUNK windows
-            for g, row in zip(gens, z):
-                g.standard_normal(out=row[:grid.n_steps - k0])
-        m, sig = grid_transition_params(drift, TimeGrid(grid.t0 + k0 * dt, dt, w))
-        p, s, c = np.cumprod(m), states[:, :w], cum[:, :w]
-        np.multiply(sig, z[:, c0:c0 + w], out=s)
-        s /= p
-        np.cumsum(s, axis=1, out=s)
-        s += x[:, None]
-        s *= p
-        x = s[:, -1].copy()
-        f_vals = np.asarray(f(s), dtype=float)
-        np.add(f_prev, f_vals[:, 0], out=c[:, 0])
-        np.add(f_vals[:, :-1], f_vals[:, 1:], out=c[:, 1:])
-        f_prev = f_vals[:, -1].copy()
-        c *= 0.5 * dt
-        np.cumsum(c, axis=1, out=c)
-        for col, k in enumerate(check_steps):
-            if k0 < k <= k0 + w:
-                out[replicas.start:replicas.stop, col] = (running + c[:, k - k0 - 1]) / (k * dt)
-        running += c[:, -1]
+    running = np.zeros(max(2, n_rep))
+    z = np.empty((n_rep, min(_CHUNK * _WINDOW, n_steps)))
+    w_max = min(_WINDOW, n_steps)
+    states, cum = np.empty((n_rep, w_max)), np.zeros((w_max, max(2, n_rep)))
+    while True:
+        for k0, m, sig in (yield):
+            p, w, c0 = np.cumprod(m), len(m), k0 % (_CHUNK * _WINDOW)
+            if c0 == 0:  # one generator call per replica for the next _CHUNK windows
+                for g, row in zip(gens, z):
+                    g.standard_normal(out=row[:n_steps - k0])
+            s, c = states[:, :w], cum[:w]
+            np.multiply(sig, z[:, c0:c0 + w], out=s)
+            s /= p
+            np.cumsum(s, axis=1, out=s)
+            s += x[:, None]
+            s *= p
+            x = s[:, -1].copy()
+            f_vals = np.asarray(f(s), dtype=float)
+            np.add(f_prev, f_vals[:, 0], out=c[0, :n_rep])
+            np.add(f_vals[:, :-1].T, f_vals[:, 1:].T, out=c[1:, :n_rep])
+            f_prev = f_vals[:, -1].copy()
+            c *= 0.5 * dt
+            for col, k in enumerate(check_steps):
+                if k0 < k <= k0 + w:
+                    out[:, col] = (running + np.add.reduce(c[:k - k0], axis=0))[:n_rep] / (k * dt)
+            running += np.add.reduce(c, axis=0)
+
+
+def _run_waves(batches, threads, map_, drift, f, initial, dt, n_steps, check_steps, seed, out):
+    """Run the batches in waves of `threads` that advance together, _BLOCK windows
+    at a time; each window's (k0, m, sigma) is computed once, on the calling thread."""
+    windows = [(k0, min(_WINDOW, n_steps - k0)) for k0 in range(0, n_steps, _WINDOW)]
+    for i in range(0, len(batches), threads):
+        runs = [_run_batch(b, f, initial, dt, n_steps, check_steps, seed, out[b.start:b.stop])
+                for b in batches[i:i + threads]]
+        list(map(next, runs))  # draw the initial states
+        for j in range(0, len(windows), _BLOCK):
+            block = [(k0, *grid_transition_params(drift, TimeGrid(k0 * dt, dt, w)))
+                     for k0, w in windows[j:j + _BLOCK]]
+            list(map_(lambda run: run.send(block), runs))
 
 
 def ergodic_time_averages(drift, f: Observable, initial: InitialSampler,
@@ -122,18 +137,18 @@ def ergodic_time_averages(drift, f: Observable, initial: InitialSampler,
                           seed: int, threads: int = 1) -> np.ndarray:
     """Matrix of path time averages: rows replicas, columns the t_values."""
     n_steps = int(round(max(t_values) / dt))
-    grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)
     check_steps = _checkpoint_steps(t_values, dt, n_steps)
     out = np.empty((n_replicas, len(t_values)))
     batch = max(1, min(n_replicas, _MAX_BATCH_ELEMS // max(1, n_steps)))
     batches = [range(lo, min(lo + batch, n_replicas)) for lo in range(0, n_replicas, batch)]
-    if threads > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: _run_batch(b, drift, f, initial, grid,
-                                               check_steps, seed, out), batches))
+    threads = min(threads, len(batches))
+    args = (drift, f, initial, dt, n_steps, check_steps, seed, out)
+    if threads <= 1:
+        _run_waves(batches, 1, map, *args)
     else:
-        for b in batches:
-            _run_batch(b, drift, f, initial, grid, check_steps, seed, out)
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            _run_waves(batches, threads, pool.map, *args)
     return out
 
 

@@ -130,6 +130,32 @@ def x2_average_moments(m, sig, dt: float, n_steps: int):
     return mean, var
 
 
+def x_average_moments(m, sig, dt: float, n_steps: int, mean0: float, sd0: float):
+    """Exact (E A_t, Var A_t) of the trapezoid average A_t of X over the first
+    n_steps steps (t = n_steps dt) of the AR(1) chain with X_0 ~ N(mean0, sd0^2).
+
+    t A_t = sum_k w_k X_k with w = dt (dt/2 at both ends).  E X_{k+1} = m_k E X_k
+    and v_{k+1} = m_k^2 v_k + sigma_k^2 with v_0 = sd0^2, and Cov(X_k, X_j) =
+    v_k m_k ... m_{j-1} for j > k, so t E A_t = sum w_k E X_k and
+    t^2 Var A_t = sum w_k^2 v_k + 2 sum w_k v_k S_k, where
+    S_k = m_k (w_{k+1} + S_{k+1}) and S_n = 0.
+    """
+    w = np.full(n_steps + 1, dt)
+    w[[0, -1]] = dt / 2.0
+    mu, v = np.empty(n_steps + 1), np.empty(n_steps + 1)
+    mu[0], v[0] = mean0, sd0 ** 2
+    for k in range(n_steps):
+        mu[k + 1] = m[k] * mu[k]
+        v[k + 1] = m[k] ** 2 * v[k] + sig[k] ** 2
+    S = np.zeros(n_steps + 1)
+    for k in range(n_steps - 1, -1, -1):
+        S[k] = m[k] * (w[k + 1] + S[k + 1])
+    t = n_steps * dt
+    mean = float(np.sum(w * mu)) / t
+    var = float(np.sum(w ** 2 * v) + 2.0 * np.sum(w * v * S)) / t ** 2
+    return mean, var
+
+
 def _dirichlet_modes(y, k):
     """Eigenfunctions sin(k pi (y+1)/2) of the unit interval (-1, 1)."""
     return np.sin(k[:, None] * np.pi * (np.asarray(y)[None, :] + 1.0) / 2.0)

@@ -157,6 +157,12 @@ def test_cli_import_loads_no_scipy():
     assert run_fresh("-c", code).stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_thread_pool():
+    # concurrent.futures is imported only by an ergodic run that uses the pool
+    code = "import apmarkov.cli, sys; print('concurrent.futures' in sys.modules)"
+    assert run_fresh("-c", code).stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("case", ["out-is-a-file", "out-below-a-file",
                                   "artifact-is-a-directory"])
 def test_cli_unusable_out_exit_2(tmp_path, case):

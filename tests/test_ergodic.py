@@ -15,11 +15,21 @@ from apmarkov.ou import OUSpec, default_ou_spec, transition_params
 from apmarkov.paths import Observable
 from apmarkov.rng import make_generator
 
-from oracles import ou_grid_params_quad, x2_average_moments
+from oracles import ou_grid_params_quad, x2_average_moments, x_average_moments
 
 ONE = Observable("one", lambda x: np.ones_like(x), bound=1.0)
 X2 = Observable("x2", lambda x: x * x)
 X = Observable("x", lambda x: x)
+
+
+def default_lam(t):  # default_ou_spec().lam, written out for scipy's quadrature
+    return (1 + 0.5 * math.sin(2 * math.pi * t)) * (1 + 0.3 * math.exp(-0.7 * t))
+
+
+def var_se(a, var) -> float:
+    """The sample variance's SE, from the replicas' fourth central moment."""
+    n, m4 = len(a), np.mean((a - a.mean()) ** 4)
+    return math.sqrt((m4 - (n - 3) / (n - 1) * var ** 2) / n)
 
 
 def periodic_spec() -> OUSpec:
@@ -101,16 +111,53 @@ def test_runner_is_thread_count_invariant(monkeypatch):
     assert np.array_equal(run(n_replicas=8, threads=4)[:3], run(n_replicas=3))
 
 
+def test_one_replica_batches_and_runs_give_the_bits_of_a_wider_run(monkeypatch):
+    # numpy sums a lone column pairwise, not in cumsum's order, so one-replica
+    # batches are where the step-major trapezoid sums could part from a wider
+    # run.  700 steps: the last window (512-700) ends mid-chunk, with
+    # checkpoints inside it and on its last step
+    spec = default_ou_spec()
+    t_values = [1.0, 5.5, 7.0]
+
+    def run(f, n_replicas, threads=1):
+        return ergodic_time_averages(spec.lam, f, normal_initial(0.0, 1.0), t_values, 0.01,
+                                     n_replicas, seed=5, threads=threads)
+
+    for f in (X, X2):
+        wide = run(f, 4)
+        for threads in (1, 2):
+            assert np.array_equal(run(f, 1, threads), wide[:1])
+            for cap in (700, 3 * 700):  # batches of 1 replica, and of 3 then 1
+                monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", cap)
+                assert np.array_equal(run(f, 4, threads), wide)
+            monkeypatch.undo()
+
+
 def test_serial_runs_stay_on_the_calling_thread(monkeypatch):
-    # a serial run must stay interruptible: no worker thread, even with batches
-    seen = []
-    real = ergodic._run_batch
-    monkeypatch.setattr(ergodic, "_run_batch",
-                        lambda *a: seen.append(threading.current_thread()) or real(*a))
+    # a serial run must stay interruptible: no worker thread, even with
+    # batches.  The observable is evaluated wherever a batch steps a window.
+    def threads_seen(threads):
+        seen = set()
+
+        def x2(x):
+            seen.add(threading.current_thread())
+            return x * x
+        ergodic_time_averages(default_ou_spec().lam, Observable("x2", x2), point_initial(0.0),
+                              [2.0], 0.01, 3, seed=0, threads=threads)
+        return seen
+
     monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", 200)
-    ergodic_time_averages(default_ou_spec().lam, X2, point_initial(0.0), [2.0], 0.01, 3,
-                          seed=0, threads=1)
-    assert seen == [threading.main_thread()] * 3
+    assert threads_seen(1) == {threading.main_thread()}
+    assert threads_seen(2) - {threading.main_thread()}  # the hook sees pool workers
+
+
+def peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_batch_memory_follows_the_run_not_the_window(monkeypatch):
@@ -120,14 +167,16 @@ def test_batch_memory_follows_the_run_not_the_window(monkeypatch):
     for n_replicas, t_max, cap, limit_mb in ((4000, 0.1, int(2e7), 8.0),
                                             (2, 1000.0, 100000, 0.5)):
         monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", cap)
-        tracemalloc.start()
-        try:
-            ergodic_time_averages(spec.lam, X2, point_initial(0.0), [t_max], 0.01,
-                                  n_replicas, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: ergodic_time_averages(spec.lam, X2, point_initial(0.0),
+                                                        [t_max], 0.01, n_replicas, seed=3))
         assert peak < limit_mb * 1e6
+    # at --threads 2 the pool runs waves of 2 batches of 200 replicas x 2000
+    # steps, so 6 batches peak where 2 do
+    monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", 200 * 2000)
+    two, six = (peak_bytes(lambda: ergodic_time_averages(spec.lam, X2, point_initial(0.0),
+                                                         [20.0], 0.01, n, seed=3, threads=2))
+                for n in (400, 1200))
+    assert six <= 1.1 * two
 
 
 def test_checkpoints_must_align_with_grid():
@@ -160,29 +209,38 @@ def test_l2_report_matches_the_exact_ar1_moments():
     # t = 10.  Each report column must lie within 3 of its own standard errors
     # of the exact moments of the engine's trapezoid average.
     spec = default_ou_spec()
-
-    def lam(t):  # spec.lam, written out for scipy's quadrature
-        return (1 + 0.5 * math.sin(2 * math.pi * t)) * (1 + 0.3 * math.exp(-0.7 * t))
-
     grid = np.linspace(0.0, 10.0, 41)
-    np.testing.assert_allclose(spec.lam(grid), [lam(t) for t in grid], rtol=1e-14)
+    np.testing.assert_allclose(spec.lam(grid), [default_lam(t) for t in grid], rtol=1e-14)
     dt, t_values, n, seed = 0.01, [1.0, 10.0], 1000, 12345
     report = run_l2_experiment(spec, X2, point_initial(0.0), t_values, n_replicas=n,
                                dt=dt, seed=seed)
     avgs = ergodic_time_averages(spec.lam, X2, point_initial(0.0), t_values, dt, n, seed)
-    m, sig = ou_grid_params_quad(lam, dt, int(round(t_values[-1] / dt)))
+    m, sig = ou_grid_params_quad(default_lam, dt, int(round(t_values[-1] / dt)))
     for j, t in enumerate(t_values):
         mean, var = x2_average_moments(m, sig, dt, int(round(t / dt)))
         a = avgs[:, j]
         assert abs(report.mean_avg[j] - mean) <= 3.0 * report.stderr[j]
-        # the sample variance's SE, from the replicas' fourth central moment
-        m4 = np.mean((a - a.mean()) ** 4)
-        se_var = math.sqrt((m4 - (n - 3) / (n - 1) * report.var[j] ** 2) / n)
-        assert abs(report.var[j] - var) <= 3.0 * se_var
+        assert abs(report.var[j] - var) <= 3.0 * var_se(a, report.var[j])
         # l2_err is the replica mean of (A_t - L)^2, whose expectation is
         # Var A_t + (E A_t - L)^2
         se_l2 = np.std((a - report.limit) ** 2, ddof=1) / math.sqrt(n)
         assert abs(report.l2_err[j] - (var + (mean - report.limit) ** 2)) <= 3.0 * se_l2
+
+
+def test_x_report_from_a_normal_start_matches_the_exact_ar1_moments():
+    # the observable x from X_0 ~ N(1.5, 0.5^2), on ergodic_default's model and
+    # dt, 1000 replicas, seed 2024, t = 1 and 5.  mean_avg must lie within 3
+    # stderr of the exact mean and var within 3 SE of the exact variance.
+    spec = default_ou_spec()
+    dt, t_values, n, seed = 0.01, [1.0, 5.0], 1000, 2024
+    initial = normal_initial(1.5, 0.5)
+    report = run_l2_experiment(spec, X, initial, t_values, n_replicas=n, dt=dt, seed=seed)
+    avgs = ergodic_time_averages(spec.lam, X, initial, t_values, dt, n, seed)
+    m, sig = ou_grid_params_quad(default_lam, dt, int(round(t_values[-1] / dt)))
+    for j, t in enumerate(t_values):
+        mean, var = x_average_moments(m, sig, dt, int(round(t / dt)), 1.5, 0.5)
+        assert abs(report.mean_avg[j] - mean) <= 3.0 * report.stderr[j]
+        assert abs(report.var[j] - var) <= 3.0 * var_se(avgs[:, j], report.var[j])
 
 
 def test_default_checkpoints_follow_squares_and_decades():
