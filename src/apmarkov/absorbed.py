@@ -85,6 +85,16 @@ class BoundaryPair:
         if self.n0 < 1:
             raise ValueError(f"n0 must be >= 1, got {self.n0}")
 
+    def _infimum_windows(self):
+        """Sorted grid, starts s, and index ranges [lo, mid), [mid, hi) of each s's windows."""
+        horizon = (self.n0 + 25.0) * self.gamma
+        starts = np.linspace(0.0, 30.0 * self.gamma, 64)
+        fine = np.linspace(0.0, 30.0 * self.gamma + horizon, 60_001)
+        lo = np.searchsorted(fine, starts, "left")
+        mid = np.searchsorted(fine, starts + self.n0 * self.gamma, "right")
+        hi = np.searchsorted(fine, starts + horizon, "right")
+        return fine, starts, lo, mid, hi
+
     def validate(self) -> None:
         if not (math.isfinite(self.h.lower) and self.h.lower > 0):
             raise ValueError("h must declare a positive lower bound")
@@ -101,15 +111,10 @@ class BoundaryPair:
         ts = np.linspace(0.0, 40.0 * self.gamma, 4001)
         if np.any(self.h(ts) > self.g(ts) + 1e-12):
             raise ValueError("h must not exceed g")
-        horizon = (self.n0 + 25.0) * self.gamma
-        s_max = 30.0 * self.gamma
-        fine = np.linspace(0.0, s_max + horizon, 60_001)
+        fine, starts, lo, mid, hi = self._infimum_windows()
         hv = self.h(fine)
-        for s in np.linspace(0.0, s_max, 64):
-            near = (fine >= s) & (fine <= s + self.n0 * self.gamma)
-            far = (fine > s + self.n0 * self.gamma) & (fine <= s + horizon)
-            v_near = float(hv[near].min())
-            v_far = float(hv[far].min())
+        for s, a, b, c in zip(starts, lo, mid, hi):
+            v_near, v_far = float(hv[a:b].min()), float(hv[b:c].min())
             # value comparison with tolerance: once the perturbation decays
             # below grid resolution the dips tie, which still satisfies the
             # running-infimum condition

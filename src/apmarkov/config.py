@@ -31,7 +31,7 @@ EXPERIMENT_KINDS = ("ergodic", "drift", "minorization", "qsd", "survival",
 OBSERVABLES: Dict[str, Observable] = {
     "one": Observable("one", lambda x: np.ones_like(x), bound=1.0),
     "x": Observable("x", lambda x: x),
-    "x2": Observable("x2", lambda x: x * x),
+    "x2": Observable("x2", np.square),
     "abs": Observable("abs", np.abs),
     "cos": Observable("cos", np.cos, bound=1.0),
 }

@@ -107,7 +107,7 @@ def _run_batch(replicas: range, f, initial, dt: float, n_steps: int,
             s += x[:, None]
             s *= p
             x = s[:, -1].copy()
-            f_vals = np.asarray(f(s), dtype=float)
+            f_vals = np.asarray(f(s, out=s), dtype=float)  # s is not read again
             np.add(f_prev, f_vals[:, 0], out=c[0, :n_rep])
             np.add(f_vals[:, :-1].T, f_vals[:, 1:].T, out=c[1:, :n_rep])
             f_prev = f_vals[:, -1].copy()

@@ -2,7 +2,8 @@
 
 An :class:`Observable` is the pointwise map f whose path time averages the
 ergodic experiments estimate; :class:`SimulationError` is what an engine
-raises when a run cannot continue (the CLI maps it to exit code 3).
+raises when a run cannot continue (the CLI maps it to exit code 3).  A ufunc
+observable (``x2``, ``abs``, ``cos``) can write into an ``out`` buffer.
 """
 
 from __future__ import annotations
@@ -28,9 +29,13 @@ class Observable:
     fn: Callable[[np.ndarray], np.ndarray]
     bound: Optional[float] = None
 
-    def __call__(self, x):
-        vals = self.fn(np.asarray(x, dtype=float))
-        if self.bound is not None and np.any(np.abs(vals) > self.bound + 1e-12):
-            raise SimulationError(
-                f"observable {self.name!r} exceeded declared bound {self.bound}")
+    def __call__(self, x, out=None):
+        x = np.asarray(x, dtype=float)
+        vals = self.fn(x, out=out) if isinstance(self.fn, np.ufunc) else self.fn(x)
+        if self.bound is not None and np.size(vals):
+            # any(|vals| > top) without |vals|: fmax/fmin skip NaN, which hides no excess
+            top = self.bound + 1e-12
+            if np.fmax.reduce(vals, None) > top or np.fmin.reduce(vals, None) < -top:
+                raise SimulationError(
+                    f"observable {self.name!r} exceeded declared bound {self.bound}")
         return vals

@@ -106,27 +106,34 @@ def ou_grid_params_quad(lam, dt: float, n_steps: int):
     return m, sig
 
 
-def x2_average_moments(m, sig, dt: float, n_steps: int):
+def x2_average_moments(m, sig, dt: float, n_steps: int, mean0: float = 0.0, sd0: float = 0.0):
     """Exact (E A_t, Var A_t) of the trapezoid average A_t of X^2 over the
-    first n_steps steps (t = n_steps dt) of the AR(1) chain with X_0 = 0.
+    first n_steps steps (t = n_steps dt) of the AR(1) chain with
+    X_0 ~ N(mean0, sd0^2) (X_0 = 0 by default).
 
-    t A_t = sum_k w_k X_k^2 with w = dt (dt/2 at both ends).  X_k ~ N(0, v_k)
-    with v_{k+1} = m_k^2 v_k + sigma_k^2, and Cov(X_k^2, X_j^2) = 2 C_kj^2
-    (Isserlis) with C_kj = v_k m_k ... m_{j-1} for j > k, so
-    t E A_t = sum w_k v_k and t^2 Var A_t = sum 2 w_k^2 v_k^2 + 4 sum w_k v_k^2 S_k,
-    where S_k = m_k^2 (w_{k+1} + S_{k+1}) and S_n = 0.
+    t A_t = sum_k w_k X_k^2 with w = dt (dt/2 at both ends).  X_k ~ N(mu_k, v_k)
+    with mu_{k+1} = m_k mu_k and v_{k+1} = m_k^2 v_k + sigma_k^2, and
+    Cov(X_k^2, X_j^2) = 2 C_kj^2 + 4 mu_k mu_j C_kj (Isserlis) with
+    C_kj = v_k m_k ... m_{j-1} for j > k, so t E A_t = sum w_k (v_k + mu_k^2) and
+    t^2 Var A_t = sum w_k^2 (2 v_k^2 + 4 mu_k^2 v_k) + 4 sum w_k v_k^2 S_k
+    + 8 sum w_k mu_k v_k R_k, where S_k = m_k^2 (w_{k+1} + S_{k+1}),
+    R_k = m_k (w_{k+1} mu_{k+1} + R_{k+1}) and S_n = R_n = 0.
     """
     w = np.full(n_steps + 1, dt)
     w[[0, -1]] = dt / 2.0
-    v = np.zeros(n_steps + 1)
+    mu, v = np.empty(n_steps + 1), np.empty(n_steps + 1)
+    mu[0], v[0] = mean0, sd0 ** 2
     for k in range(n_steps):
+        mu[k + 1] = m[k] * mu[k]
         v[k + 1] = m[k] ** 2 * v[k] + sig[k] ** 2
-    S = np.zeros(n_steps + 1)
+    S, R = np.zeros(n_steps + 1), np.zeros(n_steps + 1)
     for k in range(n_steps - 1, -1, -1):
         S[k] = m[k] ** 2 * (w[k + 1] + S[k + 1])
+        R[k] = m[k] * (w[k + 1] * mu[k + 1] + R[k + 1])
     t = n_steps * dt
-    mean = float(np.sum(w * v)) / t
-    var = float(np.sum(2.0 * w ** 2 * v ** 2) + 4.0 * np.sum(w * v ** 2 * S)) / t ** 2
+    mean = float(np.sum(w * (v + mu ** 2))) / t
+    var = float(np.sum(w ** 2 * (2.0 * v ** 2 + 4.0 * mu ** 2 * v))
+                + 4.0 * np.sum(w * v ** 2 * S) + 8.0 * np.sum(w * mu * v * R)) / t ** 2
     return mean, var
 
 

@@ -64,6 +64,23 @@ def test_pair_rejects_escaping_infimum():
         BoundaryPair(h=h, g=g, gamma=1.0).validate()
 
 
+@pytest.mark.parametrize("n0, gamma", [(1, 1.0), (2, 0.5), (3, 0.37)])
+def test_infimum_windows_are_the_masks_as_index_ranges(n0, gamma):
+    # validate reads the running infimum's two windows as slices of the
+    # sorted grid; they hold exactly the elements of the comparison masks
+    g = parse_time_function("1", lower=1, upper=1, period=gamma)
+    pair = BoundaryPair(h=g, g=g, gamma=gamma, n0=n0)
+    fine, starts, lo, mid, hi = pair._infimum_windows()
+    horizon = (n0 + 25.0) * gamma
+    assert len(fine) == 60_001 and len(starts) == 64
+    assert fine[-1] == 30.0 * gamma + horizon and np.all(np.diff(fine) > 0)
+    for s, a, b, c in zip(starts, lo, mid, hi):
+        near = (fine >= s) & (fine <= s + n0 * gamma)
+        far = (fine > s + n0 * gamma) & (fine <= s + horizon)
+        assert np.array_equal(np.flatnonzero(near), np.arange(a, b))
+        assert np.array_equal(np.flatnonzero(far), np.arange(b, c))
+
+
 # -- absorbed simulation ---------------------------------------------------------
 
 def test_unreachable_boundary_always_survives():

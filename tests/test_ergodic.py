@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from apmarkov import ergodic
+from apmarkov.config import OBSERVABLES
 from apmarkov.ergodic import (default_checkpoints, ergodic_time_averages,
                               normal_initial, point_initial, run_as_experiment,
                               run_l2_experiment)
@@ -79,13 +80,16 @@ def test_chunked_draws_and_batches_give_the_same_bits(monkeypatch):
     # chunk 1 is one draw per window, 100 exceeds the run; cap 2200 makes 3 batches
     cases = list(product((1, 2, ergodic._CHUNK, 100), (ergodic._MAX_BATCH_ELEMS, 2200),
                          (1, 2)))
-    for f in (X2, X):  # X returns the state buffer itself
+    # X returns the state buffer itself; the shipped x2, abs and cos write into
+    # it, on a partial last window too
+    for f in (X2, X, *(OBSERVABLES[k] for k in ("x2", "abs", "cos"))):
         whole = run(f)
         for chunk, cap, threads in cases:
             monkeypatch.setattr(ergodic, "_CHUNK", chunk)
             monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", cap)
             assert np.array_equal(run(f, threads), whole)
         monkeypatch.undo()
+    assert np.array_equal(run(OBSERVABLES["x2"]), run(X2))
     slow = reference_averages(spec.lam, X, 0.25, t_values, 0.01, 2, seed=31)
     fast = ergodic_time_averages(spec.lam, X, point_initial(0.25), t_values, 0.01, 2,
                                  seed=31)
@@ -123,7 +127,7 @@ def test_one_replica_batches_and_runs_give_the_bits_of_a_wider_run(monkeypatch):
         return ergodic_time_averages(spec.lam, f, normal_initial(0.0, 1.0), t_values, 0.01,
                                      n_replicas, seed=5, threads=threads)
 
-    for f in (X, X2):
+    for f in (X, X2, *(OBSERVABLES[k] for k in ("x2", "abs", "cos"))):
         wide = run(f, 4)
         for threads in (1, 2):
             assert np.array_equal(run(f, 1, threads), wide[:1])
@@ -179,6 +183,22 @@ def test_batch_memory_follows_the_run_not_the_window(monkeypatch):
     assert six <= 1.1 * two
 
 
+@pytest.mark.parametrize("name", ["x2", "cos"])
+def test_batch_holds_its_chunk_states_and_cum_with_an_in_place_observable(name):
+    # one batch of 1000 replicas x 2000 steps with a shipped ufunc observable,
+    # which the engine evaluates in its states buffer: the peak is the normals
+    # chunk (1024 steps), the states and the step-major trapezoid buffer (256
+    # steps each) plus 1.5 MB for 1000 generators (about 0.6 MB), two blocks
+    # of transition parameters and per-replica vectors.  A window-sized result
+    # of the observable, or cos's bound check taking |f(x)|, would add 2 MB.
+    n = 1000
+    buffers = 8 * n * (1024 + 256 + 256)
+    peak = peak_bytes(lambda: ergodic_time_averages(default_ou_spec().lam, OBSERVABLES[name],
+                                                    point_initial(0.0), [20.0], 0.01, n,
+                                                    seed=3))
+    assert peak <= buffers + 1.5e6
+
+
 def test_checkpoints_must_align_with_grid():
     spec = default_ou_spec()
     with pytest.raises(ValueError, match="multiple of dt"):
@@ -227,20 +247,51 @@ def test_l2_report_matches_the_exact_ar1_moments():
         assert abs(report.l2_err[j] - (var + (mean - report.limit) ** 2)) <= 3.0 * se_l2
 
 
-def test_x_report_from_a_normal_start_matches_the_exact_ar1_moments():
-    # the observable x from X_0 ~ N(1.5, 0.5^2), on ergodic_default's model and
-    # dt, 1000 replicas, seed 2024, t = 1 and 5.  mean_avg must lie within 3
-    # stderr of the exact mean and var within 3 SE of the exact variance.
+def assert_normal_start_report_matches(f, moments, seed):
+    # f from X_0 ~ N(1.5, 0.5^2), on ergodic_default's model and dt, 1000
+    # replicas, t = 1 and 5.  mean_avg must lie within 3 stderr of the exact
+    # mean and var within 3 SE of the exact variance.
     spec = default_ou_spec()
-    dt, t_values, n, seed = 0.01, [1.0, 5.0], 1000, 2024
+    dt, t_values, n = 0.01, [1.0, 5.0], 1000
     initial = normal_initial(1.5, 0.5)
-    report = run_l2_experiment(spec, X, initial, t_values, n_replicas=n, dt=dt, seed=seed)
-    avgs = ergodic_time_averages(spec.lam, X, initial, t_values, dt, n, seed)
+    report = run_l2_experiment(spec, f, initial, t_values, n_replicas=n, dt=dt, seed=seed)
+    avgs = ergodic_time_averages(spec.lam, f, initial, t_values, dt, n, seed)
     m, sig = ou_grid_params_quad(default_lam, dt, int(round(t_values[-1] / dt)))
     for j, t in enumerate(t_values):
-        mean, var = x_average_moments(m, sig, dt, int(round(t / dt)), 1.5, 0.5)
+        mean, var = moments(m, sig, dt, int(round(t / dt)), 1.5, 0.5)
         assert abs(report.mean_avg[j] - mean) <= 3.0 * report.stderr[j]
         assert abs(report.var[j] - var) <= 3.0 * var_se(avgs[:, j], report.var[j])
+
+
+def test_x_report_from_a_normal_start_matches_the_exact_ar1_moments():
+    assert_normal_start_report_matches(X, x_average_moments, seed=2024)
+
+
+def test_x2_report_from_a_normal_start_matches_the_exact_ar1_moments():
+    assert_normal_start_report_matches(OBSERVABLES["x2"], x2_average_moments, seed=2026)
+
+
+def test_average_moment_oracles_match_the_explicit_linear_representation():
+    # X = c + L xi with xi standard normal (X_0's own normal first), so
+    # t A_t of x is w.X and of x2 the quadratic form X' W X, whose mean and
+    # variance are c'Wc + tr(M) and 2 tr(M^2) + 4 |L'Wc|^2 with M = L'WL
+    rng = np.random.default_rng(40)
+    n, dt, mean0, sd0 = 40, 0.05, 1.5, 0.5
+    m, sig = rng.uniform(0.5, 1.5, n), rng.uniform(0.1, 1.0, n)
+    c, L = np.empty(n + 1), np.zeros((n + 1, n + 1))
+    c[0], L[0, 0] = mean0, sd0
+    for k in range(n):
+        c[k + 1], L[k + 1] = m[k] * c[k], m[k] * L[k]
+        L[k + 1, k + 1] = sig[k]
+    w = np.full(n + 1, dt)
+    w[[0, -1]] = dt / 2.0
+    t = n * dt
+    np.testing.assert_allclose(x_average_moments(m, sig, dt, n, mean0, sd0),
+                               (w @ c / t, np.sum((L.T @ w) ** 2) / t ** 2), rtol=1e-12)
+    M, b = L.T @ (w[:, None] * L), L.T @ (w * c)
+    np.testing.assert_allclose(x2_average_moments(m, sig, dt, n, mean0, sd0),
+                               ((c @ (w * c) + np.trace(M)) / t,
+                                (2.0 * np.sum(M * M) + 4.0 * b @ b) / t ** 2), rtol=1e-12)
 
 
 def test_default_checkpoints_follow_squares_and_decades():
