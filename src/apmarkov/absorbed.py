@@ -13,8 +13,8 @@ midpoint.
 The module carries the conditioned-ensemble machinery built on that core:
 survival estimates, Girsanov reweighting onto the unit-boundary problem in
 the transformed clock I(t) = int_0^t h(u)^-2 du, Fleming-Viot particles with
-ancestral occupation statistics, horizon-conditioned laws, conditional
-minorization estimates, and the two-boundary convergence reports.
+ancestral occupation statistics, horizon-conditioned laws, and the
+two-boundary convergence reports.
 """
 
 from __future__ import annotations

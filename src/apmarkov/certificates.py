@@ -166,17 +166,15 @@ def _minorizing_shape(a: float, b_minus: float, x: np.ndarray) -> np.ndarray:
 
 
 def _minorizing_cell_masses(a: float, b: float, mesh: Mesh) -> np.ndarray:
-    """Exact per-cell integrals of the minorizing shape.
-
-    The shape equals exp(-(|x|+a)^2 / (2 b^2)), so its antiderivative on each
-    half-line is a Gaussian CDF; cells straddling 0 split there.
-    """
-    def anti(x):  # int_0^x of the right-half shape, extended oddly
-        x = np.asarray(x, dtype=float)
-        base = _ndtr(a / b)
-        return np.sign(x) * math.sqrt(2.0 * math.pi) * b * (_ndtr((np.abs(x) + a) / b) - base)
-
-    return np.diff(anti(mesh.edges()))
+    """Exact per-cell integrals of the minorizing shape exp(-(|x|+a)^2 / (2 b^2)),
+    from its upper tails t(x) = sqrt(2 pi) b Phi(-(|x|+a)/b), never from values
+    near 1: t(l) - t(r) or t(r) - t(l) on one side of 0, 2 t(0) - t(l) - t(r)
+    across it."""
+    edges = mesh.edges()
+    tail = math.sqrt(2.0 * math.pi) * b * _ndtr(-(np.abs(edges) + a) / b)
+    tl, tr = tail[:-1], tail[1:]
+    straddle = 2.0 * math.sqrt(2.0 * math.pi) * b * _ndtr(-a / b) - tl - tr
+    return np.where(edges[:-1] >= 0.0, tl - tr, np.where(edges[1:] <= 0.0, tr - tl, straddle))
 
 
 def gaussian_class_minorization(a: float, b_minus: float, b_plus: float,

@@ -192,96 +192,19 @@ def default_ou_spec() -> OUSpec:
 # total variation between univariate Gaussians
 # ---------------------------------------------------------------------------
 
-# The standard normal CDF is a port of Cephes ndtr/erf/erfc (Moshier,
-# "Methods and Programs for Mathematical Functions", 1989, after Cody's
-# rational approximations, Math. Comp. 1969): the same constants, branches
-# and Horner order, so it equals scipy.special.ndtr bit for bit.  The
-# exponential must be libm's (math.exp); numpy's SIMD exp differs from it in
-# the last bit on some inputs.
+# The standard normal CDF, Phi(a) = erfc(-a / sqrt 2) / 2, from the C
+# library's erfc: within a few ulp of the exact erfc at the rounded argument
+# (rounding a / sqrt 2 itself costs up to about a^2 / 2 ulp).  Arrays go
+# through the same math.erfc, so both paths give the same bits.
 _SQRT1_2 = 7.07106781186547524401e-1
-_MAXLOG = 7.09782712893383996843e2  # log(2^1024)
-# erf(x) = x T(x^2) / U(x^2) on |x| <= 1; U is monic
-_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-      7.00332514112805075473e3, 5.55923013010394962768e4)
-_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-      2.26290000613890934246e4, 4.92673942608635921086e4)
-# erfc(x) = exp(-x^2) P(x) / Q(x) on 1 <= x < 8; Q is monic
-_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-      1.65666309194161350182e3, 5.57535340817727675546e2)
-# erfc(x) = exp(-x^2) R(x) / S(x) from x = 8 up; S is monic
-_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-_libm_exp = np.frompyfunc(math.exp, 1, 1)
-
-
-def _polevl(x, coef):
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x, coef):
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _erf_small(x):
-    """erf on |x| <= 1."""
-    z = x * x
-    return x * _polevl(z, _T) / _p1evl(z, _U)
-
-
-def _erfc_tail(x, e):
-    """erfc on 1 <= x with x^2 <= MAXLOG, given e = exp(-x^2)."""
-    if np.ndim(x) == 0:
-        p, q = (_polevl(x, _P), _p1evl(x, _Q)) if x < 8.0 else (_polevl(x, _R), _p1evl(x, _S))
-    else:
-        near = x < 8.0
-        p = np.where(near, _polevl(x, _P), _polevl(x, _R))
-        q = np.where(near, _p1evl(x, _Q), _p1evl(x, _S))
-    return (e * p) / q
+_libm_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _ndtr(a):
     """Standard normal CDF: a float for a scalar, else an array of a's shape."""
     if np.ndim(a) == 0:
-        x = float(a) * _SQRT1_2
-        z = abs(x)
-        if z < _SQRT1_2:
-            return 0.5 + 0.5 * _erf_small(x)
-        if z < 1.0:
-            y = 0.5 * (1.0 - _erf_small(z))
-        elif z * z <= _MAXLOG:
-            y = 0.5 * _erfc_tail(z, math.exp(-z * z))
-        elif math.isnan(z):
-            return math.nan
-        else:  # exp(-z^2) underflows, as at z = inf
-            y = 0.0
-        return 1.0 - y if x > 0.0 else y
-
-    x = np.asarray(a, dtype=float) * _SQRT1_2
-    z = np.abs(x)
-    with np.errstate(over="ignore"):
-        z2 = z * z
-    y = np.where(z2 > _MAXLOG, 0.0, math.nan)  # the branches below fill all but NaN
-    mid = (z >= _SQRT1_2) & (z < 1.0)
-    y[mid] = 0.5 * (1.0 - _erf_small(z[mid]))
-    tail = (z >= 1.0) & (z2 <= _MAXLOG)
-    zt = z[tail]
-    y[tail] = 0.5 * _erfc_tail(zt, _libm_exp(-zt * zt).astype(float))
-    y = np.where(x > 0.0, 1.0 - y, y)
-    small = z < _SQRT1_2
-    y[small] = 0.5 + 0.5 * _erf_small(x[small])
-    return y
+        return 0.5 * math.erfc(-float(a) * _SQRT1_2)
+    return 0.5 * _libm_erfc(-np.asarray(a, dtype=float) * _SQRT1_2).astype(float)
 
 
 def _interval_mass(a: float, b: float, mean: float, sd: float) -> float:

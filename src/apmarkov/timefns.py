@@ -269,8 +269,8 @@ class TimeFunction:
 
     ``lower`` and ``upper`` are bounds the user asserts for t >= 0; they are
     spot-checked (not proved) on 2001 points of [0, 50] by :meth:`check_bounds`.
-    ``period`` declares gamma-periodicity, checked on the same points by
-    :meth:`check_periodicity`.
+    ``period`` declares gamma-periodicity, checked on the same points, to
+    1e-12 (1 + max |f|), by :meth:`check_periodicity`.
     """
 
     root: _Node
@@ -310,7 +310,7 @@ class TimeFunction:
             return True
         ts = np.linspace(0.0, 50.0, 2001)
         a, b = self(ts), self(ts + self.period)
-        return bool(np.all(np.abs(b - a) <= 1e-12 * (1.0 + np.abs(a))))
+        return bool(np.all(np.abs(b - a) <= 1e-12 * (1.0 + np.abs(a).max())))
 
 
 def const(value: float, **kw) -> TimeFunction:

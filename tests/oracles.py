@@ -206,9 +206,11 @@ def gaussian_class_member_check(a: float, b_minus: float, b_plus: float, x: np.n
     the floor c * nu, with the minorizing shape multiplied by ``scale``.
 
     The members are the seeded Philox draws the certificate makes; the floor
-    comes from scipy's normal CDF and the closed-form mass of the shape.
+    comes from the closed-form mass of the shape, with its upper tail
+    Phi(-a/b_minus) taken from libm's erfc as the certificate takes it, so that
+    both sides hold the same floor bit for bit.
     """
-    mass = 2.0 * np.sqrt(2.0 * np.pi) * b_minus * norm.cdf(-a / b_minus)
+    mass = 2.0 * np.sqrt(2.0 * np.pi) * b_minus * (0.5 * math.erfc(a / b_minus * math.sqrt(0.5)))
     c = mass / (np.sqrt(2.0 * np.pi) * b_plus)
     shape = scale * np.minimum(np.exp(-(x - a) ** 2 / (2.0 * b_minus ** 2)),
                                np.exp(-(x + a) ** 2 / (2.0 * b_minus ** 2)))

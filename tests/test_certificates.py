@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,7 +140,9 @@ def test_single_member_class_is_exactly_recovered():
 
 
 def test_shifted_class_frozen_mass():
-    for a, b_minus, b_plus in [(3.0, 1.0, 2.0), (0.5, 0.7, 1.5)]:
+    # the last class has a / b_minus = 8.3: c is near 2.8e-17, and nu lies
+    # where the shape's CDF is within an ulp of 1
+    for a, b_minus, b_plus in [(3.0, 1.0, 2.0), (0.5, 0.7, 1.5), (3.0, 0.36, 1.0)]:
         cert = gaussian_class_minorization(a=a, b_minus=b_minus, b_plus=b_plus,
                                            n_members=1000, seed=11)
         # int of min(two shifted gaussians) = 2 sqrt(2 pi) b_minus Phi(-a/b_minus)
@@ -147,6 +150,23 @@ def test_shifted_class_frozen_mass():
         assert cert.c == pytest.approx(expected_c, rel=1e-13, abs=0.0)
         assert cert.n_violations == 0
         assert cert.worst_margin >= -1e-12
+
+
+def test_cell_masses_far_from_the_origin_keep_their_relative_accuracy():
+    # on [-8, -6] with a = 3, b = 1 the shape is below 1e-17, and its CDF is
+    # within an ulp of 1, so every mass must come from tails.  Each must be within
+    # a relative 1e-11 of the 200-bit integral between the same float edges:
+    # rounding the CDF's argument z = |x| + a costs about z^2 ulp, and a
+    # difference of neighbouring tails amplifies that by at most 1/(1 - e^(-z dx))
+    for n_cells in (1, 7, 40, 400):
+        mesh = Mesh(-8.0, -6.0, n_cells)
+        got = certificates._minorizing_cell_masses(3.0, 1.0, mesh)
+        with mpmath.workprec(200):
+            tail = [mpmath.sqrt(2 * mpmath.pi) * mpmath.ncdf(-(abs(mpmath.mpf(e)) + 3))
+                    for e in mesh.edges()]
+            exact = np.array([float(r - l) for l, r in zip(tail[:-1], tail[1:])])
+        assert np.all(got > 0.0)
+        np.testing.assert_allclose(got, exact, rtol=1e-11, atol=0.0)
 
 
 def test_minorization_monotonicity_in_parameters():

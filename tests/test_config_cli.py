@@ -367,6 +367,15 @@ def test_cli_minorization_nan_a_exit_2(tmp_path, capsys):
     assert "params.a" in capsys.readouterr().err
 
 
+def test_cli_minorization_deep_in_the_tail_exits_0(tmp_path):
+    # c is about 2.8e-17 here; nu must still have mass on the default mesh
+    doc = {"experiment": "minorization", "seed": 1,
+           "params": {"a": 3.0, "b_minus": 0.36, "b_plus": 1.0}}
+    cfg = write(tmp_path, doc)
+    assert main(["minorization", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / "certificates.jsonl").read_text())["n_violations"] == 0
+
+
 def test_cli_bad_k_list_exit_2(tmp_path, capsys):
     doc = {"experiment": "survival", "seed": 5, "model": BOUNDARY_MODEL,
            "params": {"s": 0.0, "t": 0.3, "x": 0.0, "k_values": [0],
@@ -538,9 +547,11 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 def _assert_recorded(group, name, artifacts):
     """The sha256 of each artifact (file name -> bytes) equals the record's.
-    The record holds for its numpy and Python versions only, so another
-    version fails here, by name, rather than pass or skip unchecked."""
-    for lib, version in (("numpy", np.__version__), ("python", platform.python_version())):
+    The record holds for its numpy, Python and C library (libm's erf and erfc)
+    versions only, so another version fails here, by name, rather than pass or
+    skip unchecked."""
+    for lib, version in (("numpy", np.__version__), ("python", platform.python_version()),
+                         ("libc", " ".join(platform.libc_ver()))):
         assert version == RECORD[lib], (f"{lib} {version} is not the {lib} {RECORD[lib]} of "
                                         "tests/artifact_hashes.json: check the bytes again")
     got = {f: hashlib.sha256(b).hexdigest() for f, b in sorted(artifacts.items())}
@@ -678,10 +689,10 @@ def test_cli_numeric_failure_exit_3(tmp_path, capsys):
 
 
 def test_cli_minorization_mesh_without_nu_mass_exit_3(tmp_path, capsys):
-    # f = exp(-(|x| + 3)^2 / 2) underflows against 1 on [-8, -6]: no cell has mass
+    # f = exp(-(|x| + 3)^2 / 2) is below the least double on [40, 42]: no cell has mass
     doc = {"experiment": "minorization", "seed": 1,
            "params": {"a": 3.0, "b_minus": 1.0, "b_plus": 2.0, "n_members": 10,
-                      "mesh": {"x_min": -8.0, "x_max": -6.0, "n_cells": 101}}}
+                      "mesh": {"x_min": 40.0, "x_max": 42.0, "n_cells": 101}}}
     cfg = write(tmp_path, doc)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert "no mass on the mesh" in capsys.readouterr().err

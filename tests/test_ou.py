@@ -1,11 +1,11 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import ndtr
 
 from apmarkov.measures import Mesh
 from apmarkov.ou import (GaussianTransition, OUSpec, _ndtr, asymptotic_periodicity_report,
@@ -192,9 +192,12 @@ def test_gaussian_tv_small_distance_matches_cdf_oracle(n, k, x):
 
 # -- normal CDF ----------------------------------------------------------------
 
-# |a| at the port's branch edges: erf below 1, 1 - erf below sqrt 2, the
-# P/Q rational below 8 sqrt 2, R/S up to where exp(-a^2/2) underflows
-_CDF_EDGES = (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 709.782712893384))
+# |a| at the branch edges of the rational approximations behind erfc(-a/sqrt 2):
+# Cephes' (erf below 1, 1 - erf below sqrt 2, P/Q below 8 sqrt 2, R/S up to
+# where exp(-a^2/2) underflows) and fdlibm's, which glibc keeps (|a|/sqrt 2 at
+# 0.84375, 1.25, 1/0.35, 6 and 28)
+_CDF_EDGES = (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 709.782712893384),
+              *(math.sqrt(2.0) * e for e in (0.84375, 1.25, 1.0 / 0.35, 6.0, 28.0)))
 _CDF_ARGS = st.one_of(
     st.floats(),  # the full double range: subnormals, +-0, +-inf and NaN
     st.floats(-40.0, 40.0),
@@ -203,45 +206,56 @@ _CDF_ARGS = st.one_of(
 )
 
 
-def _assert_bit_equal(got, want):
-    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-    assert got.shape == want.shape
+@settings(max_examples=300, deadline=None)
+@given(a=_CDF_ARGS)
+def test_ndtr_is_within_4_ulp_of_erfc_at_the_rounded_argument(a):
+    # Phi(a) is 0.5 erfc(x) at x = -a/sqrt 2 rounded to a double; the error
+    # that rounding x brings (up to about x^2 ulp) is the argument's, not the
+    # CDF's, so the reference is 0.5 erfc evaluated at that same x, at 200 bits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _ndtr(a)
+    if math.isnan(a):
+        assert math.isnan(got)
+        return
+    # past |x| = 40 erfc is 0 or 2 to well below a double's resolution (mpmath's
+    # erfc overflows from about |x| = 1e154)
+    x = min(max(-a * math.sqrt(0.5), -40.0), 40.0)
+    with mpmath.workprec(200):
+        exact = 0.5 * mpmath.erfc(x)
+        nearest = float(exact) if exact > 2.0 ** -1080 else 0.0  # float() fails far below
+        ulps = abs(mpmath.mpf(got) - exact) / math.ulp(nearest)
+    assert ulps <= 4, (a, got, nearest, float(ulps))
+
+
+def _assert_equals_the_scalar_path(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _ndtr(a)
+        scalars = [_ndtr(v) for v in a.flat]  # numpy float64 scalars in, floats out
+    assert all(type(v) is float for v in scalars)
+    assert got.dtype == np.float64 and got.shape == a.shape
+    want = np.array(scalars, dtype=float).reshape(a.shape)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @settings(max_examples=300, deadline=None)
-@given(a=_CDF_ARGS)
-def test_ndtr_scalar_equals_scipy_bit_for_bit(a):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = _ndtr(a)
-    assert type(got) is float
-    _assert_bit_equal(got, ndtr(a))
-
-
-@settings(max_examples=300, deadline=None)
 @given(a=arrays(np.float64, st.tuples(st.integers(0, 40)), elements=_CDF_ARGS)
        | arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)), elements=_CDF_ARGS))
-def test_ndtr_array_equals_scipy_bit_for_bit(a):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = _ndtr(a)
-    _assert_bit_equal(got, ndtr(a))
+def test_ndtr_array_equals_the_scalar_path_bit_for_bit(a):
+    _assert_equals_the_scalar_path(a)
 
 
 @settings(max_examples=300, deadline=None)
 @given(m=st.floats(-2.0, 2.0), sigma=st.floats(1e-3, 10.0), n_cells=st.integers(1, 60),
        half=st.floats(0.1, 20.0))
-def test_ndtr_on_folded_cell_mass_grids_equals_scipy_bit_for_bit(m, sigma, n_cells, half):
+def test_ndtr_on_folded_cell_mass_grids_equals_the_scalar_path_bit_for_bit(m, sigma, n_cells,
+                                                                            half):
     # the 2-D argument _folded_cell_masses builds: mesh edges against one
     # mean per cell center
     mesh = Mesh(-half, half, n_cells)
-    a = (mesh.edges()[None, :] - m * mesh.centers()[:, None]) / sigma
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = _ndtr(a)
-    _assert_bit_equal(got, ndtr(a))
+    _assert_equals_the_scalar_path((mesh.edges()[None, :] - m * mesh.centers()[:, None]) / sigma)
 
 # -- asymptotic periodicity report -------------------------------------------
 

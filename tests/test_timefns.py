@@ -58,6 +58,10 @@ def test_declared_bounds_and_period_checks():
     assert not too_tight.check_bounds()
     not_periodic = parse_time_function("t", period=1.0)
     assert not not_periodic.check_periodicity()
+    # sin's rounding grows with t and with the amplitude; the tolerance
+    # scales with max |g| on the check grid, so a large amplitude still passes
+    for amp in (10, 100, 1e4):
+        assert parse_time_function(f"1 + {amp}*sin(2*pi*t)", period=1.0).check_periodicity()
 
 
 # (text, tree) pairs of the grammar: numbers, t and pi under left-associative
