@@ -2,13 +2,14 @@
 period-averaged limit, variance decay in t, and single-path almost-sure
 convergence evidence.
 
-Replica r draws from the (seed, r) substream, _CHUNK windows of normals per
+Replica r draws from the (seed, r) substream, _BLOCK windows of normals per
 generator call (one stream however it is cut), so reports reproduce exactly
-and are invariant to chunking, batching and thread count.  States are
+and are invariant to blocking, batching and thread count.  States are
 advanced by the exact one-step Gaussian recursion x -> m_k x + sigma_k z;
-whole windows of steps are unrolled with prefix products, which reassociates
-floating-point sums only (documented tolerance 1e-12).  Threads run waves of
-batches that share window parameters, so they help only from 2 batches.
+windows of steps are unrolled with prefix products P = cumprod(m), which only
+reassociates sums (tolerance 1e-12) while P stays in normal float range, else
+SimulationError.  Threads run waves of batches that share window parameters,
+so they help only from 2 batches.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .invariant import limiting_value
 from .ou import OUSpec, grid_transition_params
-from .paths import Observable
+from .paths import Observable, SimulationError
 from .rng import make_generator
 from .timefns import TimeGrid, grid_steps
 
@@ -38,8 +39,8 @@ __all__ = [
 ]
 
 _WINDOW = 256  # steps unrolled per prefix-product window
-_CHUNK = 4  # windows of normals drawn per replica per generator call
-_BLOCK = 16  # windows of transition parameters computed at a time for a wave
+_BLOCK = 16  # windows of transition parameters per wave, and of normals per draw call
+_ROWS = 64  # replicas of a batch stepped together through a block
 _MAX_BATCH_ELEMS = int(2e7)  # replica-steps per batch; waves of batches go to the pool
 
 
@@ -82,53 +83,66 @@ def _checkpoint_steps(t_values: Sequence[float], dt: float, n_steps: int) -> Lis
 
 def _run_batch(replicas: range, f, initial, dt: float, n_steps: int,
                check_steps: List[int], seed: int, out: np.ndarray):
-    """Generator: advances the replicas by each list of windows (k0, m, sigma) sent to
-    it: x_{j+1} = P_j (x0 + sum_{i<=j} sigma_i z_i / P_i), P = cumprod(m), exact up to
-    reassociation while P stays in range (256 steps, drift <= 2).  Step-major trapezoid
-    sums keep cumsum's order without the GIL (2+ columns: numpy sums one pairwise)."""
+    """Generator: advances the replicas, _ROWS at a time, by each block of windows
+    (k0, P, sigma) sent to it: x_{j+1} = P_j (x0 + sum_{i<=j} sigma_i z_i / P_i), exact up
+    to reassociation while P stays in normal float range (checked by _window).  A replica
+    draws a block's normals in one call.  Step-major trapezoid sums keep cumsum's order
+    without the GIL (2+ columns: numpy sums one pairwise)."""
     n_rep = len(replicas)
     gens = [make_generator(seed, r) for r in replicas]
     x = np.array([float(initial(g)) for g in gens])
-    f_prev = np.asarray(f(x), dtype=float)
-    running = np.zeros(max(2, n_rep))
-    z = np.empty((n_rep, min(_CHUNK * _WINDOW, n_steps)))
-    w_max = min(_WINDOW, n_steps)
-    states, cum = np.empty((n_rep, w_max)), np.zeros((w_max, max(2, n_rep)))
+    f_prev = np.array(f(x), dtype=float)  # a copy: f may return x itself
+    running = np.zeros(n_rep)
+    rows, w_max = min(_ROWS, n_rep), min(_WINDOW, n_steps)
+    z = np.empty((rows, min(_BLOCK * _WINDOW, n_steps)))
+    states, cum = np.empty((rows, w_max)), np.zeros((w_max, max(2, rows)))
     while True:
-        for k0, m, sig in (yield):
-            p, w, c0 = np.cumprod(m), len(m), k0 % (_CHUNK * _WINDOW)
-            if c0 == 0:  # one generator call per replica for the next _CHUNK windows
-                for g, row in zip(gens, z):
-                    g.standard_normal(out=row[:n_steps - k0])
-            s, c = states[:, :w], cum[:w]
-            np.multiply(sig, z[:, c0:c0 + w], out=s)
-            s /= p
-            np.cumsum(s, axis=1, out=s)
-            s += x[:, None]
-            s *= p
-            x = s[:, -1].copy()
-            f_vals = np.asarray(f(s, out=s), dtype=float)  # s is not read again
-            np.add(f_prev, f_vals[:, 0], out=c[0, :n_rep])
-            np.add(f_vals[:, :-1].T, f_vals[:, 1:].T, out=c[1:, :n_rep])
-            f_prev = f_vals[:, -1].copy()
-            c *= 0.5 * dt
-            for col, k in enumerate(check_steps):
-                if k0 < k <= k0 + w:
-                    out[:, col] = (running + np.add.reduce(c[:k - k0], axis=0))[:n_rep] / (k * dt)
-            running += np.add.reduce(c, axis=0)
+        block = yield
+        b0 = block[0][0]  # the block's normals fill row[:n_steps - b0], clipped to the buffer
+        for lo in range(0, n_rep, rows):
+            r = slice(lo, min(lo + rows, n_rep))
+            n = r.stop - lo
+            for g, row in zip(gens[r], z):
+                g.standard_normal(out=row[:n_steps - b0])
+            for k0, p, sig in block:
+                w = len(p)
+                s, c = states[:n, :w], cum[:w, :max(2, n)]
+                np.multiply(sig, z[:n, k0 - b0:k0 - b0 + w], out=s)
+                s /= p
+                np.cumsum(s, axis=1, out=s)
+                s += x[r, None]
+                s *= p
+                x[r] = s[:, -1]
+                f_vals = np.asarray(f(s, out=s), dtype=float)  # s is not read again
+                np.add(f_prev[r], f_vals[:, 0], out=c[0, :n])
+                np.add(f_vals[:, :-1].T, f_vals[:, 1:].T, out=c[1:, :n])
+                f_prev[r] = f_vals[:, -1]
+                c *= 0.5 * dt
+                for col, k in enumerate(check_steps):
+                    if k0 < k <= k0 + w:
+                        out[r, col] = (running[r] + np.add.reduce(c[:k - k0], 0)[:n]) / (k * dt)
+                running[r] += np.add.reduce(c, 0)[:n]
+
+
+def _window(drift, dt: float, k0: int, w: int):
+    """(k0, P, sigma) of the w-step window from step k0, P = cumprod(m)."""
+    m, sig = grid_transition_params(drift, TimeGrid(k0 * dt, dt, w))
+    p = np.cumprod(m)
+    if not (np.finfo(float).tiny <= p.min() and p.max() < math.inf):
+        raise SimulationError(f"the window at t={k0 * dt:g} leaves float range; use a smaller dt")
+    return k0, p, sig
 
 
 def _run_waves(batches, threads, map_, drift, f, initial, dt, n_steps, check_steps, seed, out):
     """Run the batches in waves of `threads` that advance together, _BLOCK windows
-    at a time; each window's (k0, m, sigma) is computed once, on the calling thread."""
+    at a time; each window's (k0, P, sigma) is computed once, on the calling thread."""
     windows = [(k0, min(_WINDOW, n_steps - k0)) for k0 in range(0, n_steps, _WINDOW)]
     for i in range(0, len(batches), threads):
         runs = [_run_batch(b, f, initial, dt, n_steps, check_steps, seed, out[b.start:b.stop])
                 for b in batches[i:i + threads]]
         list(map(next, runs))  # draw the initial states
         for j in range(0, len(windows), _BLOCK):
-            block = [(k0, *grid_transition_params(drift, TimeGrid(k0 * dt, dt, w)))
-                     for k0, w in windows[j:j + _BLOCK]]
+            block = [_window(drift, dt, k0, w) for k0, w in windows[j:j + _BLOCK]]
             list(map_(lambda run: run.send(block), runs))
 
 

@@ -348,6 +348,30 @@ def test_cli_ergodic_report_is_thread_count_invariant(tmp_path, monkeypatch):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("c", [300, 3000])
+def test_cli_ergodic_drift_past_float_range_exits_3(tmp_path, capsys, c):
+    # lambda = (1 + 0.5 sin 2 pi t)(1 + c e^{-0.7t}) integrates to about 3850 over
+    # the first 256-step window at c = 3000, so the window's prefix product of
+    # m = exp(-int lambda) falls below the least normal float, e^-708; at c = 300
+    # the integral is about 387
+    lam = {"expr": f"(1 + 0.5*sin(2*pi*t)) * (1 + {c}*exp(-0.7*t))",
+           "lower": 0.5, "upper": 1.5 * (1 + c)}
+    doc = ergodic_doc(observable="x2", t_values=[1.0, 10.0], n_replicas=8)
+    doc["model"] = dict(OU_MODEL, **{"lambda": lam})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["ergodic", "--config", str(write(tmp_path, doc)), "--out", str(out)])
+    if c == 3000:
+        assert code == 3 and not (out / "report.csv").exists()
+        assert "window at t=0 leaves float range" in capsys.readouterr().err
+    else:
+        assert code == 0
+        with open(out / "report.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 2 and all(math.isfinite(float(v)) for row in rows for v in row)
+
+
 @pytest.mark.parametrize("threads", ["-3", "0"])
 def test_cli_threads_override_is_validated(tmp_path, capsys, threads):
     from pathlib import Path

@@ -68,8 +68,8 @@ def test_fast_runner_matches_reference_paths():
 
 def test_chunked_draws_and_batches_give_the_same_bits(monkeypatch):
     # 1100 steps: 4 full windows of 256 and a partial one; checkpoints on the
-    # first step, window edges (256, 512), the default chunk edge (1024), the
-    # steps after them, and the last step
+    # first step, window edges (256, 512, 1024: block edges for blocks of 1, 2
+    # and 4 windows), the steps after them, and the last step
     spec = default_ou_spec()
     t_values = [0.01, 2.56, 2.57, 5.12, 10.24, 10.25, 11.0]
 
@@ -77,15 +77,17 @@ def test_chunked_draws_and_batches_give_the_same_bits(monkeypatch):
         return ergodic_time_averages(spec.lam, f, normal_initial(0.0, 1.0), t_values,
                                      0.01, 5, seed=31, threads=threads)
 
-    # chunk 1 is one draw per window, 100 exceeds the run; cap 2200 makes 3 batches
-    cases = list(product((1, 2, ergodic._CHUNK, 100), (ergodic._MAX_BATCH_ELEMS, 2200),
-                         (1, 2)))
+    # block 1 is one draw per window, 100 exceeds the run; 5 replicas in rows of
+    # 2 or 3 end in a partial sub-block; cap 2200 makes 3 batches (2, 2 and 1)
+    cases = list(product((1, 2, 3, ergodic._ROWS), (1, 2, ergodic._BLOCK, 100),
+                         (ergodic._MAX_BATCH_ELEMS, 2200), (1, 2)))
     # X returns the state buffer itself; the shipped x2, abs and cos write into
     # it, on a partial last window too
     for f in (X2, X, *(OBSERVABLES[k] for k in ("x2", "abs", "cos"))):
         whole = run(f)
-        for chunk, cap, threads in cases:
-            monkeypatch.setattr(ergodic, "_CHUNK", chunk)
+        for rows, block, cap, threads in cases:
+            monkeypatch.setattr(ergodic, "_ROWS", rows)
+            monkeypatch.setattr(ergodic, "_BLOCK", block)
             monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", cap)
             assert np.array_equal(run(f, threads), whole)
         monkeypatch.undo()
@@ -117,8 +119,8 @@ def test_runner_is_thread_count_invariant(monkeypatch):
 
 def test_one_replica_batches_and_runs_give_the_bits_of_a_wider_run(monkeypatch):
     # numpy sums a lone column pairwise, not in cumsum's order, so one-replica
-    # batches are where the step-major trapezoid sums could part from a wider
-    # run.  700 steps: the last window (512-700) ends mid-chunk, with
+    # batches and sub-blocks are where the step-major trapezoid sums could part
+    # from a wider run.  700 steps: the last window (512-700) ends mid-block, with
     # checkpoints inside it and on its last step
     spec = default_ou_spec()
     t_values = [1.0, 5.5, 7.0]
@@ -129,12 +131,42 @@ def test_one_replica_batches_and_runs_give_the_bits_of_a_wider_run(monkeypatch):
 
     for f in (X, X2, *(OBSERVABLES[k] for k in ("x2", "abs", "cos"))):
         wide = run(f, 4)
-        for threads in (1, 2):
+        for rows, block, threads in product((1, 2, 3, ergodic._ROWS),
+                                            (1, 2, ergodic._BLOCK, 100), (1, 2)):
+            monkeypatch.setattr(ergodic, "_ROWS", rows)  # rows of 3: a lone last replica
+            monkeypatch.setattr(ergodic, "_BLOCK", block)
             assert np.array_equal(run(f, 1, threads), wide[:1])
             for cap in (700, 3 * 700):  # batches of 1 replica, and of 3 then 1
                 monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", cap)
                 assert np.array_equal(run(f, 4, threads), wide)
             monkeypatch.undo()
+
+
+def test_each_replica_draws_once_per_block(monkeypatch):
+    # a point start draws nothing, so replica r's generator is called once per
+    # block of _BLOCK windows: 1, 1, 2 and 3 calls for 1, 4096, 4097 and 8193
+    # steps; 70 replicas end in a partial sub-block
+    class Counted:
+        def __init__(self, gen):
+            self.gen, self.calls = gen, 0
+
+        def standard_normal(self, *args, **kwargs):
+            self.calls += 1
+            return self.gen.standard_normal(*args, **kwargs)
+
+    made = []
+
+    def counted_generator(seed, r):
+        made.append(Counted(make_generator(seed, r)))
+        return made[-1]
+
+    monkeypatch.setattr(ergodic, "make_generator", counted_generator)
+    span = ergodic._BLOCK * ergodic._WINDOW
+    for n_steps in (1, span, span + 1, 2 * span + 1):
+        made.clear()
+        ergodic_time_averages(default_ou_spec().lam, X2, point_initial(0.0),
+                              [n_steps * 0.01], 0.01, 70, seed=2, threads=2)
+        assert [g.calls for g in made] == [math.ceil(n_steps / span)] * 70
 
 
 def test_serial_runs_stay_on_the_calling_thread(monkeypatch):
@@ -186,15 +218,14 @@ def test_batch_memory_follows_the_run_not_the_window(monkeypatch):
 @pytest.mark.parametrize("name", ["x2", "cos"])
 def test_batch_holds_its_chunk_states_and_cum_with_an_in_place_observable(name):
     # one batch of 1000 replicas x 2000 steps with a shipped ufunc observable,
-    # which the engine evaluates in its states buffer: the peak is the normals
-    # chunk (1024 steps), the states and the step-major trapezoid buffer (256
-    # steps each) plus 1.5 MB for 1000 generators (about 0.6 MB), two blocks
-    # of transition parameters and per-replica vectors.  A window-sized result
-    # of the observable, or cos's bound check taking |f(x)|, would add 2 MB.
-    n = 1000
-    buffers = 8 * n * (1024 + 256 + 256)
+    # which the engine evaluates in its states buffer: the peak is one sub-block's
+    # normals (64 replicas x at most 16 windows of 256 steps), its states and its
+    # step-major trapezoid buffer (256 steps each), plus 1.5 MB for 1000
+    # generators (about 0.6 MB), two blocks of transition parameters and the
+    # per-replica vectors.  A batch-wide buffer of any of them would add 2 MB.
+    buffers = 8 * (64 * 4096 + 2 * 64 * 256)
     peak = peak_bytes(lambda: ergodic_time_averages(default_ou_spec().lam, OBSERVABLES[name],
-                                                    point_initial(0.0), [20.0], 0.01, n,
+                                                    point_initial(0.0), [20.0], 0.01, 1000,
                                                     seed=3))
     assert peak <= buffers + 1.5e6
 
