@@ -20,7 +20,8 @@ two-boundary convergence reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -112,7 +113,9 @@ class BoundaryPair:
         if np.any(self.h(ts) > self.g(ts) + 1e-12):
             raise ValueError("h must not exceed g")
         fine, starts, lo, mid, hi = self._infimum_windows()
-        hv = self.h(fine)
+        for piece in np.array_split(fine, 16):  # h in place; one h(fine) call holds 6 grids
+            piece[...] = self.h(piece)
+        hv = fine
         for s, a, b, c in zip(starts, lo, mid, hi):
             v_near, v_far = float(hv[a:b].min()), float(hv[b:c].min())
             # value comparison with tolerance: once the perturbation decays
@@ -418,7 +421,13 @@ class ParticleSystem:
     positions: np.ndarray
     time: float
     seed: int
-    resample_log: List[Tuple[float, int, int]] = field(default_factory=list)
+    respawns: Tuple[array, array, array]  # flat t, dead and donor of each respawn, 16 B
+
+    @property
+    def resample_log(self) -> List[Tuple[float, int, int]]:
+        """(t, dead, donor) of each respawn in order, built from respawns when read."""
+        t, dead, donor = self.respawns
+        return list(zip(np.frombuffer(t), dead.tolist(), donor.tolist()))
 
 
 @dataclass(frozen=True)
@@ -477,7 +486,7 @@ def fleming_viot(h, n_particles: int, dt: float, T: float, seed: int,
 
     hist = np.zeros((n_particles, mesh.n_cells))
     occupied_time = 0.0
-    log: List[Tuple[float, int, int]] = []
+    log = (array("d"), array("i"), array("i"))
     rows = np.arange(n_particles)
     flat_hist, cell_base = hist.reshape(-1), rows * mesh.n_cells
 
@@ -500,14 +509,15 @@ def fleming_viot(h, n_particles: int, dt: float, T: float, seed: int,
             donors = survivors[donor_gen.integers(len(survivors), size=n_abs)]
             xn[dead] = xn[donors]  # donors are survivors, so the order is immaterial
             hist[dead] = hist[donors]
-            log.extend(zip([ts[k + 1]] * n_abs, dead.tolist(), donors.tolist()))
+            for col, vals in zip(log, ([ts[k + 1]] * n_abs, dead.tolist(), donors.tolist())):
+                col.extend(vals)
         pos = xn
         if ts[k + 1] > burn_in + 1e-12:
             flat_hist[cell_base + mesh.cell_index(pos)] += dt_k
             occupied_time += dt_k
 
     system = ParticleSystem(n_particles=n_particles, positions=pos,
-                            time=float(ts[-1]), seed=seed, resample_log=log)
+                            time=float(ts[-1]), seed=seed, respawns=log)
     occ = OccupationMeasure(mesh=mesh, mass=hist.mean(axis=0), total_time=occupied_time)
     return FVResult(system=system, occupation=occ, ancestral_mass=hist)
 

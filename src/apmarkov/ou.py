@@ -52,9 +52,9 @@ class GaussianTransition:
 
     def compose(self, later: "GaussianTransition") -> "GaussianTransition":
         """Chapman-Kolmogorov: this step over [s,u] then ``later`` over [u,t]."""
-        m = self.m * later.m
-        var = later.m ** 2 * self.sigma ** 2 + later.sigma ** 2
-        return GaussianTransition(m=m, sigma=math.sqrt(var))
+        # hypot: a sum of squares can fall subnormal where sigma is a normal float
+        return GaussianTransition(m=self.m * later.m,
+                                  sigma=math.hypot(later.m * self.sigma, later.sigma))
 
 
 def _row_params(drift: TimeFunction, starts: np.ndarray, length: float,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -37,6 +38,51 @@ def test_survival_oracles_agree_with_each_other():
 
 def test_default_pair_validates():
     default_boundary_pair().validate()
+
+
+_DEFAULT_H = "(1 + 0.25*sin(2*pi*t)) / (1 + 0.3*exp(-0.7*t))"
+
+
+def test_validate_peak_stays_within_a_megabyte():
+    # one h call on the 60,001-point infimum grid holds 2.88 MB of
+    # temporaries; evaluated in pieces, validate peaks within 1.0 MB
+    pair = default_boundary_pair()
+    tracemalloc.start()
+    try:
+        pair.validate()
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0
+
+
+@pytest.mark.parametrize("expr", [_DEFAULT_H, "(1 + 0.25*sin(2*pi*t)) * (0.5 + 0.3*exp(-0.05*t))",
+                                  "1 + 0.25*sin(2*pi*t)"])
+def test_validate_pieces_equal_one_call_on_the_infimum_grid(expr):
+    # validate's h calls after the h-below-g check are the grid's pieces;
+    # together they give one h(fine) call's values bit for bit
+    pair = default_boundary_pair()
+    h = parse_time_function(expr, lower=0.3, upper=1.25)
+    calls = []
+
+    class Recorded:
+        def __getattr__(self, name):
+            return getattr(h, name)
+
+        def __call__(self, t):
+            out = h(t)
+            calls.append((np.array(t), np.array(out)))
+            return out
+
+    try:
+        BoundaryPair(h=Recorded(), g=pair.g, gamma=1.0).validate()
+    except ValueError as exc:  # only the running-infimum check may reject
+        assert "infimum" in str(exc)
+    fine = pair._infimum_windows()[0]
+    pieces = calls[1:]
+    assert len(pieces) > 1
+    assert np.concatenate([t for t, _ in pieces]).tobytes() == fine.tobytes()
+    assert np.concatenate([v for _, v in pieces]).tobytes() == h(fine).tobytes()
 
 
 def test_pair_rejects_h_above_g():
@@ -605,6 +651,44 @@ def test_fv_is_deterministic_and_preserves_count():
     assert len(a.system.resample_log) > 0
     t, absorbed, donor = a.system.resample_log[0]
     assert 0 < t <= 5.0 and 0 <= absorbed < 300 and 0 <= donor < 300
+
+
+def test_fv_respawn_record_is_pinned():
+    # the record as the tuple-per-respawn log gave it: every t is the node
+    # time ts[k + 1] of the respawn's step, an np.float64, and the digest
+    # covers every (t, dead, donor) bit for bit
+    log = fleming_viot(UNIT, 300, 2e-3, 5.0, seed=7).system.resample_log
+    assert len(log) == 1923 and len({t for t, _, _ in log}) == 1318
+    assert log[0] == (0.122, 262, 256) and log[-1] == (4.996, 83, 95)
+    assert all(type(t) is np.float64 and type(d) is int and type(o) is int
+               for t, d, o in log)
+    t, dead, donor = (np.array(c) for c in zip(*log))
+    assert dead.sum() == 288_776 and donor.sum() == 283_184
+    ts = _uniform_window(0.0, 5.0, 2e-3)
+    assert ts[np.searchsorted(ts, t)].tobytes() == t.tobytes()
+    digest = hashlib.sha256(t.tobytes() + dead.astype(np.int64).tobytes()
+                            + donor.astype(np.int64).tobytes()).hexdigest()
+    assert digest == "916ce76f67ded89cc937b87868b7352b0fe8fdefff054ebc15efe10d455526fe"
+
+
+def test_fv_respawn_record_costs_at_most_16_bytes_a_respawn():
+    # bound, set before measuring: from T to 4T the traced peak may grow by
+    # 16 B per extra respawn (a float64 time and two int32 ids) plus 128 KiB
+    # for the 4x longer time and boundary grids (48 KB) and the record's
+    # growth slack; a Python tuple per respawn costs about 130 B
+    runs = []
+    for T in (4.0, 16.0):
+        tracemalloc.start()
+        try:
+            res = fleming_viot(UNIT, 1000, 4e-3, T, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        runs.append((peak, len(res.system.resample_log)))
+        del res
+    (p1, r1), (p4, r4) = runs
+    assert r4 > 3 * r1
+    assert p4 - p1 <= 16 * (r4 - r1) + 128 * 1024
 
 
 def test_fv_aborts_when_all_particles_die():

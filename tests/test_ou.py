@@ -4,7 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from apmarkov.measures import Mesh
@@ -70,6 +70,10 @@ _TRANSITIONS = st.builds(GaussianTransition, m=_normal_scale(-2.0, 2.0),
 
 @settings(max_examples=300, deadline=None)
 @given(a=_TRANSITIONS, b=_TRANSITIONS, c=_TRANSITIONS)
+# squared, c.m^2 * (b.m a.sigma)^2 and (b.m c.m)^2 fall subnormal on either side
+@example(a=GaussianTransition(m=0.0, sigma=1.375),
+         b=GaussianTransition(m=1.7613243681251538e-79, sigma=0.0),
+         c=GaussianTransition(m=1.7613243681251538e-79, sigma=0.0))
 def test_compose_is_associative(a, b, c):
     left, right = a.compose(b).compose(c), a.compose(b.compose(c))
     assert left.m == pytest.approx(right.m, rel=1e-12, abs=1e-300)
