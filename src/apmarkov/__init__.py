@@ -9,17 +9,17 @@ from .absorbed import (BoundaryPair, FVResult, OccupationMeasure, ParticleSystem
                        default_boundary_pair, fleming_viot, girsanov_survival_estimate,
                        girsanov_weight, q_process_approx, qed_comparison,
                        survival_probability)
-from .certificates import (DriftCertificate, GaussianKernel, MinorizationCertificate,
-                           check_drift, gaussian_class_minorization, quadratic_psi)
+from .certificates import (DriftCertificate, MinorizationCertificate, check_drift,
+                           gaussian_class_minorization)
 from .ergodic import (ASReport, ErgodicReport, default_checkpoints, normal_initial,
                       point_initial, run_as_experiment, run_l2_experiment)
-from .invariant import (SkeletonMap, invariant_gaussian, limiting_value,
-                        power_iteration_invariant, skeleton_kernel_matrix)
+from .invariant import (invariant_gaussian, limiting_value, power_iteration_invariant,
+                        skeleton_kernel_matrix)
 from .measures import Mesh, MeshMeasure, tv_distance
 from .ou import (GaussianTransition, OUSpec, asymptotic_periodicity_report,
                  default_ou_spec, gaussian_tv, transition_params)
 from .paths import Observable
 from .rng import make_generator, substream_key
-from .timefns import TimeFunction, TimeGrid, parse_time_function
+from .timefns import TimeFunction, parse_time_function
 
 __version__ = "0.1.0"

@@ -3,7 +3,9 @@
 Certificates are *checked*, never searched: the caller proposes the
 constants (theta, C, K, c, nu, ...) and the module verifies the defining
 inequalities on a mesh, reporting the worst residual.  An invalid
-certificate is a result, not an error.
+certificate is a result, not an error.  The drift check reads the exact OU
+transition (m, sigma) from :func:`apmarkov.ou.transition_params` and takes
+P psi for psi = 1 + x^2 in closed form.
 """
 
 from __future__ import annotations
@@ -11,19 +13,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .invariant import _GH_ORDER, _gauss_hermite
 from .measures import Mesh, MeshMeasure
-from .ou import GaussianTransition, _ndtr, transition_params
+from .ou import _ndtr, transition_params
 from .paths import SimulationError
 from .timefns import TimeFunction
 
 __all__ = [
-    "GaussianKernel",
-    "quadratic_psi",
     "DriftCertificate",
     "MinorizationCertificate",
     "check_drift",
@@ -32,46 +31,8 @@ __all__ = [
 ]
 
 
-def quadratic_psi(x):
-    """The standard Lyapunov weight 1 + x^2 (always >= 1)."""
-    x = np.asarray(x, dtype=float)
-    return 1.0 + x * x
-
-
 def default_certificate_mesh() -> Mesh:
     return Mesh(x_min=-8.0, x_max=8.0, n_cells=2001)
-
-
-class GaussianKernel:
-    """Transition evaluator of the exact OU kernel for a given drift.
-
-    Wraps the closed-form Gaussian transitions (cached per window) with the
-    expectation the drift check uses.
-    """
-
-    def __init__(self, drift: TimeFunction):
-        self.drift = drift
-        self._cache: dict = {}
-        nodes, weights = _gauss_hermite(_GH_ORDER)
-        self._gh = (nodes * math.sqrt(2.0), weights)
-
-    def params(self, s: float, t: float) -> GaussianTransition:
-        key = (s, t)
-        tr = self._cache.get(key)
-        if tr is None:
-            tr = transition_params(self.drift, s, t)
-            self._cache[key] = tr
-        return tr
-
-    def apply(self, s: float, t: float, f: Callable[[np.ndarray], np.ndarray],
-              x) -> np.ndarray:
-        """(P_{s,t} f)(x) by Gauss-Hermite quadrature (exact for polynomials
-        of degree < 2 * _GH_ORDER)."""
-        tr = self.params(s, t)
-        x = np.asarray(x, dtype=float)
-        nodes, weights = self._gh
-        y = tr.m * x[..., None] + tr.sigma * nodes
-        return np.asarray(f(y), dtype=float) @ weights
 
 
 # ---------------------------------------------------------------------------
@@ -103,21 +64,21 @@ class DriftCertificate:
         }, sort_keys=True)
 
 
-def check_drift(kernel: GaussianKernel, psi: Callable[[np.ndarray], np.ndarray],
-                s: float, t1: float, theta: float, C: float,
+def check_drift(drift: TimeFunction, s: float, t1: float, theta: float, C: float,
                 k_edge: float, mesh: Optional[Mesh] = None) -> DriftCertificate:
-    """Verify the drift inequality on the mesh for K = [-k_edge, k_edge]."""
+    """Verify the drift inequality for psi = 1 + x^2 on the mesh, K = [-k_edge,
+    k_edge].  The exact OU kernel over [s, s + t1] gives P psi(x) = 1 + sigma^2
+    + m^2 x^2 in closed form."""
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0,1), got {theta}")
     if C <= 0:
         raise ValueError(f"C must be > 0, got {C}")
     mesh = mesh or default_certificate_mesh()
     x = mesh.centers()
-    psi_x = np.asarray(psi(x), dtype=float)
-    if np.any(psi_x < 1.0 - 1e-12):
-        raise ValueError("psi must be >= 1 on the mesh")
-    p_psi = kernel.apply(s, s + t1, psi, x)
-    residual = p_psi - theta * psi_x - C * (np.abs(x) <= k_edge)
+    tr = transition_params(drift, s, s + t1)
+    x2 = x * x
+    residual = (1.0 + tr.sigma ** 2 + tr.m ** 2 * x2 - theta * (1.0 + x2)
+                - C * (np.abs(x) <= k_edge))
     i = int(np.argmax(residual))
     return DriftCertificate(s=s, t1=t1, theta=theta, C=C, k_edge=k_edge,
                             max_residual=float(residual[i]), argmax_x=float(x[i]),

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import __version__
 from .absorbed import (boundary_convergence_report, fleming_viot)
-from .certificates import (GaussianKernel, check_drift, default_certificate_mesh,
-                           gaussian_class_minorization, quadratic_psi)
+from .certificates import check_drift, default_certificate_mesh, gaussian_class_minorization
 from .config import (EXPERIMENT_KINDS, OBSERVABLES, ConfigError, ExperimentConfig,
                      config_hash, load_config, serialize_config)
 from .ergodic import normal_initial, point_initial, run_l2_experiment
@@ -86,8 +85,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                                     [(r.k, r.n, r.s, r.tv) for r in rows])}
 
     if cfg.experiment == "drift":
-        kernel = GaussianKernel(cfg.model().drift(p.get("use_auxiliary", False)))
-        cert = check_drift(kernel, quadratic_psi, s=float(p["s"]), t1=float(p["t1"]),
+        cert = check_drift(cfg.model().drift(p.get("use_auxiliary", False)),
+                           s=float(p["s"]), t1=float(p["t1"]),
                            theta=float(p["theta"]), C=float(p["C"]),
                            k_edge=float(p["k_edge"]), mesh=_mesh_from(p))
         return {"certificates.jsonl": cert.to_json() + "\n"}

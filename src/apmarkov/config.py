@@ -18,6 +18,7 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from .absorbed import BoundaryPair, _check_start
+from .invariant import invariant_gaussian
 from .ou import OUSpec
 from .paths import Observable
 from .timefns import TimeFunction, grid_steps, parse_time_function
@@ -177,7 +178,8 @@ def _check_initial(kind: str, init: Any, where: str) -> None:
 
 def _check_params(kind: str, params: dict, model) -> dict:
     """Check params against the experiment's schema and, through the
-    library's own grid and start-point rules, against the parsed model."""
+    library's own grid, start-point and contraction rules, against the
+    parsed model."""
     where = "params"
     required, optional = _PARAM_SCHEMAS[kind]
     _require_keys(params, where, required, optional)
@@ -199,6 +201,8 @@ def _check_params(kind: str, params: dict, model) -> dict:
         _positive(params, where, "dt")
         for i, t in enumerate(tv):
             _grid_steps(params, f"{where}.t_values[{i}]", "t", t)
+        # the report's limit needs g's one-period skeleton to contract
+        _library_rule("model.g", invariant_gaussian, model)
     elif kind == "drift":
         for key in ("t1", "C", "k_edge"):
             _positive(params, where, key)

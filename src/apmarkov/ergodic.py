@@ -8,8 +8,8 @@ and are invariant to blocking, batching and thread count.  States are
 advanced by the exact one-step Gaussian recursion x -> m_k x + sigma_k z;
 windows of steps are unrolled with prefix products P = cumprod(m), which only
 reassociates sums (tolerance 1e-12) while P stays in normal float range, else
-SimulationError.  Threads run waves of batches that share window parameters,
-so they help only from 2 batches.
+SimulationError.  Threads run waves of batches (at most _MAX_BATCH replicas
+each) that share window parameters, so they help only from 2 batches.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .invariant import limiting_value
 from .ou import OUSpec, grid_transition_params
 from .paths import Observable, SimulationError
 from .rng import make_generator
-from .timefns import TimeGrid, grid_steps
+from .timefns import grid_steps
 
 __all__ = [
     "ErgodicReport",
@@ -41,7 +41,7 @@ __all__ = [
 _WINDOW = 256  # steps unrolled per prefix-product window
 _BLOCK = 16  # windows of transition parameters per wave, and of normals per draw call
 _ROWS = 64  # replicas of a batch stepped together through a block
-_MAX_BATCH_ELEMS = int(2e7)  # replica-steps per batch; waves of batches go to the pool
+_MAX_BATCH = 512  # replicas per batch; waves of batches go to the pool
 
 
 InitialSampler = Callable[[np.random.Generator], float]
@@ -126,7 +126,7 @@ def _run_batch(replicas: range, f, initial, dt: float, n_steps: int,
 
 def _window(drift, dt: float, k0: int, w: int):
     """(k0, P, sigma) of the w-step window from step k0, P = cumprod(m)."""
-    m, sig = grid_transition_params(drift, TimeGrid(k0 * dt, dt, w))
+    m, sig = grid_transition_params(drift, k0 * dt, dt, w)
     p = np.cumprod(m)
     if not (np.finfo(float).tiny <= p.min() and p.max() < math.inf):
         raise SimulationError(f"the window at t={k0 * dt:g} leaves float range; use a smaller dt")
@@ -153,7 +153,9 @@ def ergodic_time_averages(drift, f: Observable, initial: InitialSampler,
     n_steps = int(round(max(t_values) / dt))
     check_steps = _checkpoint_steps(t_values, dt, n_steps)
     out = np.empty((n_replicas, len(t_values)))
-    batch = max(1, min(n_replicas, _MAX_BATCH_ELEMS // max(1, n_steps)))
+    # equal batches of at most _MAX_BATCH replicas, but a shorter last one
+    n_batches = max(1, -(-n_replicas // _MAX_BATCH))
+    batch = max(1, -(-n_replicas // n_batches))
     batches = [range(lo, min(lo + batch, n_replicas)) for lo in range(0, n_replicas, batch)]
     threads = min(threads, len(batches))
     args = (drift, f, initial, dt, n_steps, check_steps, seed, out)

@@ -1,18 +1,17 @@
 """Ergodic limit of the periodic dynamics: skeleton invariant measure and the
 period-averaged limiting value of time averages.
 
-The period map of the auxiliary dynamics is the AR recursion
-x -> a x + s0 Z with a = exp(-int_0^gamma g) and s0 the one-period standard
-deviation, whose Gaussian fixed point Normal(0, s0^2/(1-a^2)) anchors the
-ergodic limit.  A mesh power-iteration oracle computes the same invariant
-measure independently; tests cross-check the two routes.
+The period map of the auxiliary dynamics is the AR recursion x -> a x + s0 Z,
+(a, s0) the (m, sigma) of g over [0, gamma] from ou.transition_params, whose
+Gaussian fixed point Normal(0, s0^2/(1-a^2)) anchors the ergodic limit.  A
+mesh power-iteration oracle computes the same invariant measure
+independently; tests cross-check the two routes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
@@ -22,7 +21,6 @@ from .ou import OUSpec, _ndtr, drift_profile, transition_params
 from .paths import Observable
 
 __all__ = [
-    "SkeletonMap",
     "ContractionError",
     "PowerIterationError",
     "invariant_gaussian",
@@ -41,33 +39,17 @@ class PowerIterationError(RuntimeError):
     """Power iteration failed to converge within the iteration budget."""
 
 
-@dataclass(frozen=True)
-class SkeletonMap:
-    """One-period AR map x -> a x + s0 Z of the auxiliary dynamics."""
-
-    a: float
-    s0: float
-
-    @staticmethod
-    def from_spec(spec: OUSpec) -> "SkeletonMap":
-        tr = transition_params(spec.g, 0.0, spec.gamma)
-        return SkeletonMap(a=tr.m, s0=tr.sigma)
-
-
-def skeleton_fixed_point_variance(sk: SkeletonMap) -> float:
-    """Variance of the Gaussian fixed point of x -> a x + s0 Z."""
-    if sk.a >= 1.0:
-        raise ContractionError(f"skeleton not contracting: a = {sk.a!r} >= 1")
-    return sk.s0 ** 2 / (1.0 - sk.a ** 2)
-
-
 def invariant_gaussian(spec: OUSpec) -> Tuple[float, float]:
     """(mean, variance) of the skeleton's Gaussian fixed point.
 
-    The AR map x -> a x + s0 Z has invariant law Normal(0, s0^2 / (1 - a^2)),
-    provided a < 1.
+    The skeleton is the one-period AR map x -> a x + s0 Z, with (a, s0) the
+    transition of g over [0, gamma]; its invariant law is Normal(0, s0^2 /
+    (1 - a^2)), provided a < 1.
     """
-    return 0.0, skeleton_fixed_point_variance(SkeletonMap.from_spec(spec))
+    tr = transition_params(spec.g, 0.0, spec.gamma)
+    if tr.m >= 1.0:
+        raise ContractionError(f"skeleton not contracting: a = {tr.m!r} >= 1")
+    return 0.0, tr.sigma ** 2 / (1.0 - tr.m ** 2)
 
 
 def _folded_cell_masses(m: float, sigma: float, x: np.ndarray, mesh: Mesh) -> np.ndarray:
@@ -93,8 +75,8 @@ def gaussian_kernel_matrix(m: float, sigma: float, mesh: Mesh) -> np.ndarray:
 
 
 def skeleton_kernel_matrix(spec: OUSpec, mesh: Mesh) -> np.ndarray:
-    sk = SkeletonMap.from_spec(spec)
-    return gaussian_kernel_matrix(sk.a, sk.s0, mesh)
+    tr = transition_params(spec.g, 0.0, spec.gamma)
+    return gaussian_kernel_matrix(tr.m, tr.sigma, mesh)
 
 
 def power_iteration_invariant(kernel_matrix: np.ndarray, mesh: Mesh,
@@ -127,11 +109,11 @@ _N_S = 256
 _GH_ORDER = 64
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_hermite(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes and probability weights of the Gauss-Hermite rule, computed once
-    per order and returned read-only, since every caller shares them."""
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+@functools.cache
+def _gauss_hermite() -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and probability weights of the order-_GH_ORDER Gauss-Hermite
+    rule, computed once and returned read-only, since every call shares them."""
+    nodes, weights = np.polynomial.hermite.hermgauss(_GH_ORDER)
     weights = weights / math.sqrt(math.pi)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
@@ -150,7 +132,7 @@ def limiting_value(spec: OUSpec, f: Observable | Callable[[np.ndarray], np.ndarr
     # profile of Q_{0,s} at every node and midpoint of the outer Simpson rule
     _, a_s, var_s = drift_profile(spec.g, 0.0, spec.gamma, 2 * _N_S)
     total_var = np.exp(-2.0 * a_s) * var_inf + var_s
-    nodes, weights = _gauss_hermite(_GH_ORDER)
+    nodes, weights = _gauss_hermite()
     x = math.sqrt(2.0) * np.sqrt(total_var)[:, None] * nodes[None, :]
     fn = f.fn if isinstance(f, Observable) else f
     vals = np.asarray(fn(x), dtype=float) @ weights

@@ -20,7 +20,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .timefns import TimeFunction, TimeGrid, TimeFunctionError, simpson_profile
+from .timefns import TimeFunction, TimeFunctionError, simpson_profile
 
 __all__ = [
     "GaussianTransition",
@@ -98,10 +98,14 @@ def transition_params(drift: TimeFunction, s: float, t: float) -> GaussianTransi
     return GaussianTransition(m=float(m[0]), sigma=float(sig[0]))
 
 
-def grid_transition_params(drift: TimeFunction, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step (m_k, sigma_k) for every step of a uniform grid, vectorized."""
-    starts = grid.t0 + grid.dt * np.arange(grid.n_steps)
-    return _row_params(drift, starts, grid.dt, _PANELS_PER_STEP)
+def grid_transition_params(drift: TimeFunction, t0: float, dt: float,
+                           n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step (m_k, sigma_k) over [t0 + k dt, t0 + (k+1) dt] for each of
+    n_steps steps of a uniform grid, vectorized."""
+    if not (dt > 0 and n_steps >= 1):
+        raise TimeFunctionError(f"need dt > 0 and n_steps >= 1, got dt={dt}, n_steps={n_steps}")
+    starts = t0 + dt * np.arange(n_steps)
+    return _row_params(drift, starts, dt, _PANELS_PER_STEP)
 
 
 def drift_profile(drift: TimeFunction, a: float, b: float,

@@ -38,7 +38,6 @@ import numpy as np
 
 __all__ = [
     "TimeFunction",
-    "TimeGrid",
     "TimeFunctionError",
     "const",
     "parse_time_function",
@@ -385,28 +384,6 @@ def parse_time_function(text: str, lower: float = -math.inf, upper: float = math
 # ---------------------------------------------------------------------------
 # grids and integration
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform grid t0, t0+dt, ..., t0+n_steps*dt."""
-
-    t0: float
-    dt: float
-    n_steps: int
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise TimeFunctionError(f"dt must be > 0, got {self.dt}")
-        if self.n_steps < 1:
-            raise TimeFunctionError(f"n_steps must be >= 1, got {self.n_steps}")
-
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.n_steps * self.dt
-
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_steps + 1)
-
 
 def grid_steps(span: float, dt: float, name: str) -> int:
     """Number of dt steps in a span, which must be a multiple of dt within

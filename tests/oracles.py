@@ -199,6 +199,16 @@ def conditioned_cell_masses(x: float, t: float, horizon: float,
     return cell / cell.sum()
 
 
+def gauss_hermite_apply(m: float, sigma: float, f, x, order: int = 64) -> np.ndarray:
+    """(P f)(x) = E f(m x + sigma Z), Z ~ Normal(0, 1), for the Gaussian kernel
+    x -> Normal(m x, sigma^2), by Gauss-Hermite quadrature of the given order:
+    exact for polynomials of degree < 2 order, up to rounding."""
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    x = np.asarray(x, dtype=float)
+    y = m * x[..., None] + sigma * (nodes * math.sqrt(2.0))
+    return np.asarray(f(y), dtype=float) @ (weights / math.sqrt(math.pi))
+
+
 def gaussian_class_member_check(a: float, b_minus: float, b_plus: float, x: np.ndarray,
                                 n_members: int, seed: int, scale: float = 1.0):
     """(worst margin, violations) of the Gaussian-class minorization check,

@@ -15,8 +15,7 @@ from apmarkov.absorbed import (boundary_convergence_report, conditioned_endpoint
                                default_boundary_pair, fleming_viot,
                                girsanov_survival_estimate, girsanov_weight,
                                qed_comparison, survival_probability)
-from apmarkov.certificates import (GaussianKernel, check_drift,
-                                   gaussian_class_minorization, quadratic_psi)
+from apmarkov.certificates import check_drift, gaussian_class_minorization
 from apmarkov.cli import main
 from apmarkov.ergodic import point_initial, run_as_experiment, run_l2_experiment
 from apmarkov.invariant import (limiting_value, power_iteration_invariant,
@@ -93,12 +92,10 @@ def test_criterion_04_almost_sure_convergence():
 
 
 def test_criterion_05_drift_certificate():
-    kernel = GaussianKernel(const(1.0, lower=1.0, upper=1.0))
-    good = check_drift(kernel, quadratic_psi, s=0.0, t1=1.0, theta=0.5, C=0.94,
-                       k_edge=1.6)
+    unit = const(1.0, lower=1.0, upper=1.0)
+    good = check_drift(unit, s=0.0, t1=1.0, theta=0.5, C=0.94, k_edge=1.6)
     assert good.valid and good.max_residual <= 0.0
-    bad = check_drift(kernel, quadratic_psi, s=0.0, t1=1.0, theta=0.1, C=0.94,
-                      k_edge=1.6)
+    bad = check_drift(unit, s=0.0, t1=1.0, theta=0.1, C=0.94, k_edge=1.6)
     assert not bad.valid
     report(5, f"certificate valid with max residual {good.max_residual:.4f}; "
               f"theta=0.1 invalid (residual {bad.max_residual:.2f})")

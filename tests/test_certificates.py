@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from apmarkov import certificates
-from apmarkov.certificates import (GaussianKernel, check_drift,
-                                   default_certificate_mesh,
-                                   gaussian_class_minorization, quadratic_psi)
+from apmarkov.certificates import (check_drift, default_certificate_mesh,
+                                   gaussian_class_minorization)
 from apmarkov.measures import Mesh, MeshMeasure, tv_distance
-from apmarkov.ou import default_ou_spec
+from apmarkov.ou import default_ou_spec, transition_params
 from apmarkov.timefns import const
 
-from oracles import gaussian_class_member_check
+from oracles import gauss_hermite_apply, gaussian_class_member_check
 
 UNIT = const(1.0, lower=1.0, upper=1.0)
 ZERO = const(0.0, lower=0.0, upper=0.0)
@@ -24,15 +23,20 @@ M2 = math.exp(-2.0)                      # squared mean factor
 S2 = (1.0 - math.exp(-2.0)) / 2.0        # transition variance
 
 
-def one(x):
-    return np.ones_like(np.asarray(x, dtype=float))
+def psi(x):
+    return 1.0 + x * x
+
+
+def p_psi(drift, s, t, x):
+    """P_{s,t} psi of the exact OU kernel, in closed form: 1 + sigma^2 + m^2 x^2."""
+    tr = transition_params(drift, s, t)
+    return 1.0 + tr.sigma ** 2 + tr.m ** 2 * (x * x)
 
 
 # -- drift certificates --------------------------------------------------------
 
 def test_unit_drift_certificate_valid():
-    cert = check_drift(GaussianKernel(UNIT), quadratic_psi, s=0.0, t1=1.0,
-                       theta=0.5, C=0.94, k_edge=1.6)
+    cert = check_drift(UNIT, s=0.0, t1=1.0, theta=0.5, C=0.94, k_edge=1.6)
     assert cert.valid
     assert cert.max_residual <= 0.0
     # slack at the origin: P psi(0) - theta psi(0) = 1 + S2 - 0.5 < C
@@ -42,48 +46,59 @@ def test_unit_drift_certificate_valid():
 
 def test_small_theta_invalidates_certificate():
     # theta below m^2 makes the residual grow like (m^2 - theta) x^2 > 0
-    cert = check_drift(GaussianKernel(UNIT), quadratic_psi, s=0.0, t1=1.0,
-                       theta=0.1, C=0.94, k_edge=1.6)
+    cert = check_drift(UNIT, s=0.0, t1=1.0, theta=0.1, C=0.94, k_edge=1.6)
     assert not cert.valid
     assert cert.max_residual > 0.0
     assert abs(cert.argmax_x) > 6.0
 
 
-def test_constant_psi_certificate_trivially_valid():
-    cert = check_drift(GaussianKernel(UNIT), one, s=0.0, t1=1.0,
-                       theta=0.5, C=1.0, k_edge=8.0)
-    assert cert.valid
-    assert cert.max_residual == pytest.approx(-0.5, rel=1e-12)
-
-
-def closed_form_compact_set(kernel, s, theta):
+def closed_form_compact_set(drift, s, theta):
     """(k, c_min) for psi = 1 + x^2 over [s, s + 1]: P psi - theta psi =
     (1 + sigma^2 - theta) + (m^2 - theta) x^2 is <= c_min, and <= 0 for
     |x| > k = sqrt(c_min / (theta - m^2))."""
-    tr = kernel.params(s, s + 1.0)
+    tr = transition_params(drift, s, s + 1.0)
     c_min = 1.0 + tr.sigma ** 2 - theta
     return math.sqrt(c_min / (theta - tr.m ** 2)), c_min
 
 
 def test_closed_form_compact_set_certifies_drift():
-    kernel = GaussianKernel(UNIT)
-    k_edge, c_min = closed_form_compact_set(kernel, s=0.0, theta=0.5)
+    k_edge, c_min = closed_form_compact_set(UNIT, s=0.0, theta=0.5)
     assert c_min == pytest.approx(1.0 + S2 - 0.5, rel=1e-9)
     assert k_edge == pytest.approx(math.sqrt(c_min / (0.5 - M2)), rel=1e-9)
-    cert = check_drift(kernel, quadratic_psi, s=0.0, t1=1.0, theta=0.5,
-                       C=c_min + 1e-6, k_edge=k_edge + 1e-6)
+    cert = check_drift(UNIT, s=0.0, t1=1.0, theta=0.5, C=c_min + 1e-6, k_edge=k_edge + 1e-6)
     assert cert.valid
 
 
 def test_check_drift_parameter_validation():
-    kernel = GaussianKernel(UNIT)
     with pytest.raises(ValueError):
-        check_drift(kernel, quadratic_psi, 0.0, 1.0, theta=1.5, C=1.0, k_edge=1.0)
+        check_drift(UNIT, 0.0, 1.0, theta=1.5, C=1.0, k_edge=1.0)
     with pytest.raises(ValueError):
-        check_drift(kernel, quadratic_psi, 0.0, 1.0, theta=0.5, C=-1.0, k_edge=1.0)
-    with pytest.raises(ValueError, match="psi"):
-        check_drift(kernel, lambda x: 0.5 * one(x), 0.0, 1.0, theta=0.5, C=1.0,
-                    k_edge=1.0)
+        check_drift(UNIT, 0.0, 1.0, theta=0.5, C=-1.0, k_edge=1.0)
+
+
+# The tolerance: P psi is at most about 1 + x_max^2 (|x| <= 10 here), and the
+# 64-node quadrature rounds each node's term, so the two residuals may part by
+# 1e-13 (1 + x_max^2), about 1e-11.  Near-ties may flip the argmax, so the closed
+# form's argmax need only be a point whose quadrature residual is that close to
+# the quadrature's max.
+@settings(max_examples=200, deadline=None)
+@given(s=st.floats(0.0, 5.0), t1=st.floats(0.01, 3.0), theta=st.floats(0.01, 0.99),
+       C=st.floats(0.01, 5.0), k_edge=st.floats(0.01, 10.0),
+       x_min=st.floats(-10.0, -0.5), x_max=st.floats(0.5, 10.0),
+       n_cells=st.integers(1, 400))
+def test_check_drift_matches_gauss_hermite_oracle(s, t1, theta, C, k_edge, x_min, x_max,
+                                                  n_cells):
+    drift = default_ou_spec().lam
+    mesh = Mesh(x_min=x_min, x_max=x_max, n_cells=n_cells)
+    cert = check_drift(drift, s=s, t1=t1, theta=theta, C=C, k_edge=k_edge, mesh=mesh)
+    x = mesh.centers()
+    tr = transition_params(drift, s, s + t1)
+    residual = (gauss_hermite_apply(tr.m, tr.sigma, psi, x) - theta * psi(x)
+                - C * (np.abs(x) <= k_edge))
+    tol = 1e-13 * (1.0 + max(x_min ** 2, x_max ** 2))
+    assert abs(cert.max_residual - residual.max()) <= tol
+    assert residual[np.flatnonzero(x == cert.argmax_x)].max() >= residual.max() - tol
+    assert cert.valid == (cert.max_residual <= 0.0)
 
 
 # -- growth ratios ---------------------------------------------------------------
@@ -91,32 +106,30 @@ def test_check_drift_parameter_validation():
 def test_growth_ratio_identity_window():
     # P_{s,s} psi = psi, so the growth ratio is 1 everywhere
     x = default_certificate_mesh().centers()
-    p_psi = GaussianKernel(UNIT).apply(0.0, 0.0, quadratic_psi, x)
-    assert p_psi == pytest.approx(quadratic_psi(x), rel=1e-12)
-    assert (p_psi / quadratic_psi(x)).max() == pytest.approx(1.0, rel=1e-12)
+    p = p_psi(UNIT, 0.0, 0.0, x)
+    assert p == pytest.approx(psi(x), rel=1e-12)
+    assert (p / psi(x)).max() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_growth_ratio_brownian_peaks_at_two():
     # lam = 0, t = 1: P psi(x) = psi(x) + 1, maximized ratio 2 at x = 0
     x = default_certificate_mesh().centers()
-    p_psi = GaussianKernel(ZERO).apply(0.0, 1.0, quadratic_psi, x)
-    assert p_psi == pytest.approx(quadratic_psi(x) + 1.0, rel=1e-9)
-    assert (p_psi / quadratic_psi(x)).max() == pytest.approx(2.0, rel=1e-9)
+    p = p_psi(ZERO, 0.0, 1.0, x)
+    assert p == pytest.approx(psi(x) + 1.0, rel=1e-9)
+    assert (p / psi(x)).max() == pytest.approx(2.0, rel=1e-9)
 
 
 def test_valid_certificate_implies_window_growth_bound():
     # any valid (theta, C) certificate forces sup P psi / psi <= C (1 + C/(1-theta))
-    spec = default_ou_spec()
-    kernel = GaussianKernel(spec.lam)
+    lam = default_ou_spec().lam
     theta = 0.6
     x = default_certificate_mesh().centers()
     for s in (0.0, 0.3, 1.1, 2.6):
-        k_edge, c_min = closed_form_compact_set(kernel, s=s, theta=theta)
+        k_edge, c_min = closed_form_compact_set(lam, s=s, theta=theta)
         c_val = c_min + 0.05
-        cert = check_drift(kernel, quadratic_psi, s=s, t1=1.0, theta=theta,
-                           C=c_val, k_edge=k_edge + 0.1)
+        cert = check_drift(lam, s=s, t1=1.0, theta=theta, C=c_val, k_edge=k_edge + 0.1)
         assert cert.valid
-        worst = max((kernel.apply(s, s + t, quadratic_psi, x) / quadratic_psi(x)).max()
+        worst = max((p_psi(lam, s, s + t, x) / psi(x)).max()
                     for t in (0.0, 0.25, 0.5, 0.75, 0.99))
         assert worst <= c_val * (1.0 + c_val / (1.0 - theta))
 
@@ -227,8 +240,7 @@ def test_tv_distance_mesh_mismatch():
 
 def test_certificate_json_round_trip_fields():
     import json
-    cert = check_drift(GaussianKernel(UNIT), quadratic_psi, s=0.0, t1=1.0,
-                       theta=0.5, C=0.94, k_edge=1.6)
+    cert = check_drift(UNIT, s=0.0, t1=1.0, theta=0.5, C=0.94, k_edge=1.6)
     doc = json.loads(cert.to_json())
     assert doc["kind"] == "drift"
     assert doc["valid"] is True

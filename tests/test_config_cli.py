@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import warnings
@@ -221,6 +222,18 @@ def test_library_imports_are_used_and_all_names_are_defined():
             f"{path.name} __all__ names undefined {sorted(set(exported) - defined)}"
 
 
+def test_readme_imports_resolve():
+    # only the import statements of the README's python blocks run, so a public
+    # name that is removed cannot leave the README's examples stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    imports = [node for block in blocks for node in ast.parse(block).body
+               if isinstance(node, ast.ImportFrom) and node.module.startswith("apmarkov")]
+    assert imports
+    for node in imports:
+        exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), {})
+
+
 def test_cli_validation_failure_exit_2(tmp_path, capsys):
     cfg = write(tmp_path, ergodic_doc(dt=-1.0))
     assert main(["ergodic", "--config", str(cfg), "--out", str(tmp_path)]) == 2
@@ -336,8 +349,8 @@ def test_cli_minorization_rejects_a_model(tmp_path, capsys):
 
 
 def test_cli_ergodic_report_is_thread_count_invariant(tmp_path, monkeypatch):
-    # 300 steps per replica under a cap of 1000 replica-steps: 2 batches of 3
-    monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", 1000)
+    # a cap of 3 replicas: 2 batches of 3
+    monkeypatch.setattr(ergodic, "_MAX_BATCH", 3)
     cfg = write(tmp_path, ergodic_doc(observable="x2", t_values=[1.0, 3.0], n_replicas=6))
     reports = []
     for threads in ("1", "2"):
@@ -370,6 +383,26 @@ def test_cli_ergodic_drift_past_float_range_exits_3(tmp_path, capsys, c):
         with open(out / "report.csv", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert len(rows) == 2 and all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+# g = 0.5 sin(2 pi t) - 0.1 has mean rate -0.1 over its period, so its skeleton
+# x -> a x + s0 Z has a = e^0.1 > 1: no invariant law, and no ergodic limit
+NON_CONTRACTING_MODEL = dict(OU_MODEL, **{
+    "lambda": {"expr": "1 + 0.5*sin(2*pi*t)", "lower": 0.5, "upper": 1.5},
+    "g": {"expr": "0.5*sin(2*pi*t) - 0.1", "lower": -0.6, "upper": 0.4, "period": 1.0}})
+
+
+def test_cli_ergodic_non_contracting_skeleton_exits_2_naming_g(tmp_path, capsys):
+    doc = dict(ergodic_doc(observable="x2"), model=NON_CONTRACTING_MODEL)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write(tmp_path, doc)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: model.g: skeleton not contracting")
+    assert not (out / "report.csv").exists()
+    # the drift and periodicity reports do not assume an invariant law
+    for other in (_drift_doc(), _ap_doc()):
+        cfg = write(tmp_path, dict(other, model=NON_CONTRACTING_MODEL), "other.json")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("threads", ["-3", "0"])
@@ -547,8 +580,8 @@ _MINORIZATION_DOC = {"experiment": "minorization", "seed": 2,
     _ap_doc(),
 ], ids=lambda doc: doc["experiment"])
 def test_cli_artifacts_do_not_depend_on_threads_or_batches(tmp_path, monkeypatch, doc):
-    # 200 steps per replica under a cap of 400 replica-steps: 3 batches of 2
-    monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", 400)
+    # a cap of 2 replicas: 3 batches of 2
+    monkeypatch.setattr(ergodic, "_MAX_BATCH", 2)
     cfg = write(tmp_path, doc)
 
     def artifacts(name, *flags):

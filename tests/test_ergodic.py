@@ -78,9 +78,9 @@ def test_chunked_draws_and_batches_give_the_same_bits(monkeypatch):
                                      0.01, 5, seed=31, threads=threads)
 
     # block 1 is one draw per window, 100 exceeds the run; 5 replicas in rows of
-    # 2 or 3 end in a partial sub-block; cap 2200 makes 3 batches (2, 2 and 1)
+    # 2 or 3 end in a partial sub-block; a cap of 2 makes 3 batches (2, 2 and 1)
     cases = list(product((1, 2, 3, ergodic._ROWS), (1, 2, ergodic._BLOCK, 100),
-                         (ergodic._MAX_BATCH_ELEMS, 2200), (1, 2)))
+                         (ergodic._MAX_BATCH, 2), (1, 2)))
     # X returns the state buffer itself; the shipped x2, abs and cos write into
     # it, on a partial last window too
     for f in (X2, X, *(OBSERVABLES[k] for k in ("x2", "abs", "cos"))):
@@ -88,7 +88,7 @@ def test_chunked_draws_and_batches_give_the_same_bits(monkeypatch):
         for rows, block, cap, threads in cases:
             monkeypatch.setattr(ergodic, "_ROWS", rows)
             monkeypatch.setattr(ergodic, "_BLOCK", block)
-            monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", cap)
+            monkeypatch.setattr(ergodic, "_MAX_BATCH", cap)
             assert np.array_equal(run(f, threads), whole)
         monkeypatch.undo()
     assert np.array_equal(run(OBSERVABLES["x2"]), run(X2))
@@ -107,9 +107,9 @@ def test_runner_is_thread_count_invariant(monkeypatch):
 
     whole = run()
     assert np.array_equal(run(threads=4), whole)  # one batch: the pool is skipped
-    # 200 steps per replica: caps of 400 and 200 give 3 and 6 batches
-    for cap in (400, 200):
-        monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", cap)
+    # caps of 2 and 1 replicas give 3 and 6 batches
+    for cap in (2, 1):
+        monkeypatch.setattr(ergodic, "_MAX_BATCH", cap)
         assert np.array_equal(run(threads=1), whole)
         assert np.array_equal(run(threads=4), whole)
     assert np.array_equal(run(), whole)  # same seed, same bits
@@ -130,15 +130,15 @@ def test_one_replica_batches_and_runs_give_the_bits_of_a_wider_run(monkeypatch):
                                      n_replicas, seed=5, threads=threads)
 
     for f in (X, X2, *(OBSERVABLES[k] for k in ("x2", "abs", "cos"))):
-        wide = run(f, 4)
+        wide = run(f, 7)
         for rows, block, threads in product((1, 2, 3, ergodic._ROWS),
                                             (1, 2, ergodic._BLOCK, 100), (1, 2)):
             monkeypatch.setattr(ergodic, "_ROWS", rows)  # rows of 3: a lone last replica
             monkeypatch.setattr(ergodic, "_BLOCK", block)
             assert np.array_equal(run(f, 1, threads), wide[:1])
-            for cap in (700, 3 * 700):  # batches of 1 replica, and of 3 then 1
-                monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", cap)
-                assert np.array_equal(run(f, 4, threads), wide)
+            for cap in (1, 3):  # batches of 1 replica, and of 3, 3 then 1
+                monkeypatch.setattr(ergodic, "_MAX_BATCH", cap)
+                assert np.array_equal(run(f, 7, threads), wide)
             monkeypatch.undo()
 
 
@@ -182,7 +182,7 @@ def test_serial_runs_stay_on_the_calling_thread(monkeypatch):
                               [2.0], 0.01, 3, seed=0, threads=threads)
         return seen
 
-    monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", 200)
+    monkeypatch.setattr(ergodic, "_MAX_BATCH", 1)
     assert threads_seen(1) == {threading.main_thread()}
     assert threads_seen(2) - {threading.main_thread()}  # the hook sees pool workers
 
@@ -198,17 +198,19 @@ def peak_bytes(run) -> int:
 
 def test_batch_memory_follows_the_run_not_the_window(monkeypatch):
     # work buffers no wider than the run, transition parameters streamed per
-    # window: 4000 replicas x 10 steps and 2 batches of 1 replica x 1e5 steps
+    # window: 4000 and 40,000 replicas x 10 steps, and 2 batches of 1 replica x
+    # 1e5 steps.  Beyond the result matrix (0.32 MB at 40,000 replicas) a batch
+    # holds at most 512 generators of about 0.6 KB, so peaks stay under 1.5 MB
     spec = default_ou_spec()
-    for n_replicas, t_max, cap, limit_mb in ((4000, 0.1, int(2e7), 8.0),
-                                            (2, 1000.0, 100000, 0.5)):
-        monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", cap)
+    for n_replicas, t_max, cap, limit_mb in ((4000, 0.1, 512, 1.5), (40_000, 0.1, 512, 1.5),
+                                            (2, 1000.0, 1, 0.5)):
+        monkeypatch.setattr(ergodic, "_MAX_BATCH", cap)
         peak = peak_bytes(lambda: ergodic_time_averages(spec.lam, X2, point_initial(0.0),
                                                         [t_max], 0.01, n_replicas, seed=3))
         assert peak < limit_mb * 1e6
     # at --threads 2 the pool runs waves of 2 batches of 200 replicas x 2000
     # steps, so 6 batches peak where 2 do
-    monkeypatch.setattr(ergodic, "_MAX_BATCH_ELEMS", 200 * 2000)
+    monkeypatch.setattr(ergodic, "_MAX_BATCH", 200)
     two, six = (peak_bytes(lambda: ergodic_time_averages(spec.lam, X2, point_initial(0.0),
                                                          [20.0], 0.01, n, seed=3, threads=2))
                 for n in (400, 1200))
@@ -217,12 +219,13 @@ def test_batch_memory_follows_the_run_not_the_window(monkeypatch):
 
 @pytest.mark.parametrize("name", ["x2", "cos"])
 def test_batch_holds_its_chunk_states_and_cum_with_an_in_place_observable(name):
-    # one batch of 1000 replicas x 2000 steps with a shipped ufunc observable,
-    # which the engine evaluates in its states buffer: the peak is one sub-block's
-    # normals (64 replicas x at most 16 windows of 256 steps), its states and its
-    # step-major trapezoid buffer (256 steps each), plus 1.5 MB for 1000
-    # generators (about 0.6 MB), two blocks of transition parameters and the
-    # per-replica vectors.  A batch-wide buffer of any of them would add 2 MB.
+    # 1000 replicas x 2000 steps, two batches of 500 run one after the other, with
+    # a shipped ufunc observable, which the engine evaluates in its states buffer:
+    # the peak is one sub-block's normals (64 replicas x at most 16 windows of 256
+    # steps), its states and its step-major trapezoid buffer (256 steps each), plus
+    # 1.5 MB for a batch's 500 generators (about 0.3 MB), two blocks of transition
+    # parameters and the per-replica vectors.  A batch-wide buffer of any of them
+    # would add at least 1 MB.
     buffers = 8 * (64 * 4096 + 2 * 64 * 256)
     peak = peak_bytes(lambda: ergodic_time_averages(default_ou_spec().lam, OBSERVABLES[name],
                                                     point_initial(0.0), [20.0], 0.01, 1000,

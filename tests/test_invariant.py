@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from apmarkov.invariant import (ContractionError, PowerIterationError, SkeletonMap,
+from apmarkov.invariant import (ContractionError, PowerIterationError,
                                 gaussian_kernel_matrix,
                                 invariant_gaussian, limiting_value,
                                 power_iteration_invariant,
-                                skeleton_fixed_point_variance,
                                 skeleton_kernel_matrix)
 from apmarkov.measures import Mesh, MeshMeasure
 from apmarkov.ou import OUSpec, default_ou_spec, drift_profile, transition_params
 from apmarkov.paths import Observable
-from apmarkov.timefns import const
+from apmarkov.timefns import const, parse_time_function
 
 X2 = Observable("x2", lambda x: x * x)
 ONE = Observable("one", lambda x: np.ones_like(x), bound=1.0)
@@ -26,9 +25,9 @@ def unit_g_spec() -> OUSpec:
 
 def test_unit_skeleton_frozen_values():
     spec = unit_g_spec()
-    sk = SkeletonMap.from_spec(spec)
-    assert sk.a == pytest.approx(math.exp(-1.0), rel=1e-9)
-    assert sk.s0 ** 2 == pytest.approx((1.0 - math.exp(-2.0)) / 2.0, rel=1e-9)
+    sk = transition_params(spec.g, 0.0, spec.gamma)
+    assert sk.m == pytest.approx(math.exp(-1.0), rel=1e-9)
+    assert sk.sigma ** 2 == pytest.approx((1.0 - math.exp(-2.0)) / 2.0, rel=1e-9)
     _, var = invariant_gaussian(spec)
     # stationary OU variance 1/(2 lam0) with lam0 = 1
     assert var == pytest.approx(0.5, rel=1e-9)
@@ -36,18 +35,17 @@ def test_unit_skeleton_frozen_values():
 
 def test_fixed_point_property_machine_precision():
     spec = default_ou_spec()
-    sk = SkeletonMap.from_spec(spec)
+    sk = transition_params(spec.g, 0.0, spec.gamma)
     _, var = invariant_gaussian(spec)
-    assert sk.a ** 2 * var + sk.s0 ** 2 == pytest.approx(var, rel=1e-14)
-
-
-def test_degenerate_noise_gives_point_mass():
-    assert skeleton_fixed_point_variance(SkeletonMap(a=0.5, s0=0.0)) == 0.0
+    assert sk.m ** 2 * var + sk.sigma ** 2 == pytest.approx(var, rel=1e-14)
 
 
 def test_non_contracting_skeleton_raises():
-    with pytest.raises(ContractionError, match="not contracting"):
-        skeleton_fixed_point_variance(SkeletonMap(a=1.0, s0=0.3))
+    # g has mean rate -0.1 over its period: the skeleton's a = e^0.1 > 1
+    g = parse_time_function("0.5*sin(2*pi*t) - 0.1", lower=-0.6, upper=0.4, period=1.0)
+    lam = parse_time_function("1 + 0.5*sin(2*pi*t)", lower=0.5, upper=1.5)
+    with pytest.raises(ContractionError, match="not contracting: a = 1.105"):
+        invariant_gaussian(OUSpec(lam=lam, g=g, gamma=1.0))
 
 
 def test_zero_drift_spec_rejected_upstream():

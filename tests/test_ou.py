@@ -11,7 +11,7 @@ from apmarkov.measures import Mesh
 from apmarkov.ou import (GaussianTransition, OUSpec, _ndtr, asymptotic_periodicity_report,
                          default_ou_spec, drift_profile, gaussian_tv,
                          grid_transition_params, transition_params)
-from apmarkov.timefns import TimeGrid, const, parse_time_function
+from apmarkov.timefns import const, parse_time_function
 
 from oracles import gaussian_tv_exact, ou_constant_variance
 
@@ -106,10 +106,10 @@ def test_auxiliary_transitions_are_periodic():
 
 def test_grid_params_match_single_shot():
     spec = default_ou_spec()
-    grid = TimeGrid(0.37, 0.01, 25)
-    m, sig = grid_transition_params(spec.lam, grid)
+    m, sig = grid_transition_params(spec.lam, 0.37, 0.01, 25)
+    times = 0.37 + 0.01 * np.arange(26)
     for k in (0, 7, 24):
-        tr = transition_params(spec.lam, grid.times()[k], grid.times()[k + 1])
+        tr = transition_params(spec.lam, times[k], times[k + 1])
         assert m[k] == pytest.approx(tr.m, rel=1e-11)
         assert sig[k] == pytest.approx(tr.sigma, rel=1e-9)
 

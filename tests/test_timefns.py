@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apmarkov.timefns import (TimeFunction, TimeFunctionError, TimeGrid, _Add, _Const,
+from apmarkov.ou import grid_transition_params
+from apmarkov.timefns import (TimeFunction, TimeFunctionError, _Add, _Const,
                               _Cos, _Div, _Exp, _Mul, _Pow, _Sin, _Sub, _Var, _mul,
                               const, parse_time_function, simpson_profile)
 
@@ -198,10 +199,10 @@ def half_panel_samples(f, a, delta, n):
 
 
 def test_cumulative_constant_is_linear():
-    grid = TimeGrid(t0=0.0, dt=0.1, n_steps=20)
+    times = 0.1 * np.arange(21)
     nodes, mids = simpson_profile(half_panel_samples(const(1.0), 0.0, 0.1, 20), 0.1)
-    np.testing.assert_allclose(nodes, grid.times(), rtol=0, atol=1e-14)
-    np.testing.assert_allclose(mids, grid.times()[:-1] + 0.05, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(nodes, times, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(mids, times[:-1] + 0.05, rtol=0, atol=1e-14)
 
 
 def test_simpson_profile_exact_for_cubic_nodes_and_quadratic_mids():
@@ -239,14 +240,14 @@ def test_simpson_profile_rows_match_one_dimensional_calls():
 
 
 def test_cumulative_clock_constant_boundaries():
-    grid = TimeGrid(t0=0.0, dt=0.05, n_steps=40)
+    times = 0.05 * np.arange(41)
     # the clock integrand h^-2 from the boundary's samples, as the Girsanov clock builds it
     v1 = half_panel_samples(const(1.0), 0.0, 0.05, 40)
     clock, _ = simpson_profile(1.0 / (v1 * v1), 0.05)
-    np.testing.assert_allclose(clock, grid.times(), atol=1e-14)
+    np.testing.assert_allclose(clock, times, atol=1e-14)
     v2 = half_panel_samples(const(2.0), 0.0, 0.05, 40)
     clock2, _ = simpson_profile(1.0 / (v2 * v2), 0.05)
-    np.testing.assert_allclose(clock2, grid.times() / 4.0, atol=1e-14)
+    np.testing.assert_allclose(clock2, times / 4.0, atol=1e-14)
 
 
 def test_cumulative_endpoint_matches_integrate():
@@ -269,10 +270,7 @@ def test_cumulative_monotone_for_nonnegative():
 
 
 def test_grid_validation():
-    with pytest.raises(TimeFunctionError):
-        TimeGrid(t0=0.0, dt=-0.1, n_steps=5)
-    with pytest.raises(TimeFunctionError):
-        TimeGrid(t0=0.0, dt=0.1, n_steps=0)
-    grid = TimeGrid(t0=1.0, dt=0.25, n_steps=4)
-    assert grid.t_end == pytest.approx(2.0)
-    np.testing.assert_allclose(grid.times(), [1.0, 1.25, 1.5, 1.75, 2.0])
+    with pytest.raises(TimeFunctionError, match="dt"):
+        grid_transition_params(const(1.0), t0=0.0, dt=-0.1, n_steps=5)
+    with pytest.raises(TimeFunctionError, match="n_steps"):
+        grid_transition_params(const(1.0), t0=0.0, dt=0.1, n_steps=0)
