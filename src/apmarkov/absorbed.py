@@ -58,7 +58,8 @@ _MAX_BATCH_ELEMS = int(1e6)
 _WINDOW = 64
 _CHUNK = 8 * _WINDOW  # steps per draw of the working set's normals, a window multiple
 _GEN_COST = 1000  # a generator's build time in normals drawn (25 us against 27 ns)
-# bridge crossings are evaluated within this many sqrt(dt) of the boundary
+# bridge crossings are evaluated within this many sqrt(dt) of the boundary at either end
+# of a step; beyond it p < 2 exp(-2 * 5^2) < 2^-53, the smallest counter uniform
 _BRIDGE_REACH = 5.0
 
 
@@ -151,26 +152,6 @@ def _crossing(x, xn, h0, h1, dt, u) -> np.ndarray:
     return u < up + dn - up * dn
 
 
-def _bridge_step(x, xn, h0, h1, dt, u) -> np.ndarray:
-    """Bridge-triggered absorption over one step (see _crossing) for arrays
-    x, xn and u of one shape; h0, h1 and dt are scalars or of that shape.
-
-    p is only evaluated within _BRIDGE_REACH sqrt(dt) of the boundary (at
-    either end of the step) and where u == 0.  Everywhere else both
-    crossing exponents are below -2 _BRIDGE_REACH^2 = -50, so p < 2^-53,
-    the smallest positive uniform, and the test is False: the result equals
-    evaluating p everywhere, bit for bit.
-    """
-    reach = _BRIDGE_REACH * np.sqrt(dt)
-    near = (np.abs(x) > h0 - reach) | (np.abs(xn) > h1 - reach) | (u == 0.0)
-    hit = np.zeros(near.shape, dtype=bool)
-    sel = np.nonzero(near)
-    if sel[0].size:
-        hit[sel] = _crossing(*(v if np.ndim(v) == 0 else v[sel]
-                               for v in (x, xn, h0, h1, dt, u)))
-    return hit
-
-
 def _draws(n: int, n_paths: int, n_steps: int) -> Tuple[list, int]:
     """(generators for _engine to key, steps per draw) for n-path batches: a
     generator per path and _CHUNK steps where the window spans 3+ chunks and
@@ -217,7 +198,7 @@ def _engine(ts: np.ndarray, hb: np.ndarray, x0: float, ids: range, seed: int, br
     states = np.full((n, len(at)), np.nan)
     states[:, at == 0] = x0
     dts = np.diff(ts)
-    if bridge:  # the reach edges of _bridge_step
+    if bridge:  # the bridge candidates' reach edges
         reach = _BRIDGE_REACH * np.sqrt(dts)
         lo, hi = hb[:, :-1] - reach, hb[:, 1:] - reach
     buf = np.empty((2, (_WINDOW + 1) * n))  # the window's states and their magnitudes
@@ -457,7 +438,10 @@ def fleming_viot(h, n_particles: int, dt: float, T: float, seed: int,
     Particles diffuse as absorbed Brownian motion; an absorbed particle
     respawns at the position of a survivor chosen uniformly (multiple
     absorptions in a step are processed in index order, drawing donors from
-    the step's own substream).
+    the step's own substream).  Hits are decided as in _engine: the normals
+    come from substream (seed, 0), and particle slot i's bridge uniform at
+    step k is counter_uniform(substream_key(seed, 4, i), k), read only at
+    the bridge candidates.
 
     Each particle carries the binned occupation of its *ancestral* path:
     on respawn it inherits the donor's record, so at the end the per-particle
@@ -476,6 +460,8 @@ def fleming_viot(h, n_particles: int, dt: float, T: float, seed: int,
 
     diff_gen = make_generator(seed, 0)
     donor_gen = make_generator(seed, 2)  # re-keyed to substream (seed, 2, k) at step k
+    keys = substream_key(seed, 4, np.arange(n_particles, dtype=np.uint64))  # slot uniforms
+    reach = _BRIDGE_REACH * np.sqrt(np.diff(ts))
     if isinstance(x0, str):
         if x0 != "uniform":
             raise ValueError(f"unknown initial spec {x0!r}")
@@ -492,11 +478,11 @@ def fleming_viot(h, n_particles: int, dt: float, T: float, seed: int,
 
     for k in range(n_steps):
         dt_k = ts[k + 1] - ts[k]
-        z = diff_gen.standard_normal(n_particles)
-        u = diff_gen.random(n_particles)
-        xn = pos + math.sqrt(dt_k) * z
-        direct = np.abs(xn) >= hb[k + 1]
-        absorbed = direct | _bridge_step(pos, xn, hb[k], hb[k + 1], dt_k, u)
+        xn = pos + math.sqrt(dt_k) * diff_gen.standard_normal(n_particles)
+        near = (np.abs(pos) > hb[k] - reach[k]) | (np.abs(xn) > hb[k + 1] - reach[k])
+        absorbed = np.abs(xn) >= hb[k + 1]
+        c = np.flatnonzero(near > absorbed)  # bridge candidates, as _engine's: within reach, not hit
+        absorbed[c] = _crossing(pos[c], xn[c], hb[k], hb[k + 1], dt_k, counter_uniform(keys[c], k))
         n_abs = np.count_nonzero(absorbed)
         if n_abs == n_particles:
             raise SimulationError(

@@ -54,10 +54,12 @@ def make_generator(seed: int, *indexes: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=substream_key(seed, *indexes)))
 
 
-def counter_uniform(keys: np.ndarray, steps: np.ndarray) -> np.ndarray:
+def counter_uniform(keys: np.ndarray, steps) -> np.ndarray:
     """((substream_key(key, step) >> 12) + 1/2) 2^-52 for uint64 keys, each
-    the key of a substream (seed, r), and integer steps."""
-    bits = substream_key(keys, steps.astype(np.uint64)) >> 12
+    the key of a substream (seed, r), and integer steps: an array, a numpy
+    integer or a Python int."""
+    with np.errstate(over="ignore"):  # the uint64 wrap is intended; numpy warns on scalars
+        bits = substream_key(keys, np.asarray(steps, dtype=np.uint64)) >> 12
     return (bits.astype(float) + 0.5) * 2.0 ** -52
 
 

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 from scipy.stats import norm
 
 
@@ -276,3 +277,126 @@ def reference_engine(ts, hb, x0, ids, seed, bridge, make_generator, substream_ke
         x = xn
         paths.append(x)
     return tau, np.stack(paths, axis=1)
+
+
+# -- moving boundaries: finite differences in y = x / g(t) on (-1, 1) --------------
+
+def default_pair_g(t):
+    """The default pair's envelope g(t) = 1 + 0.25 sin(2 pi t), in numpy."""
+    return 1.0 + 0.25 * np.sin(2.0 * np.pi * t)
+
+
+def default_pair_h(t):
+    """The default pair's h(t) = g(t) / (1 + 0.3 exp(-0.7 t)), in numpy."""
+    return default_pair_g(t) / (1.0 + 0.3 * np.exp(-0.7 * t))
+
+
+def _generator_bands(g, times, m: int) -> np.ndarray:
+    """Rows (lower, diag, upper) of the generator 1/2 g^-2 d_yy - y (g'/g) d_y
+    of Brownian motion seen in y = x / g(t), by central differences on the
+    m - 1 interior nodes of m equal cells of (-1, 1), zero at y = +-1: one
+    (3, m - 1) block per time in ``times``.  g' is a central difference of g
+    (step 1e-5, error about 1e-10 for the boundaries tested)."""
+    y = np.linspace(-1.0, 1.0, m + 1)[1:-1]
+    gv = np.broadcast_to(np.asarray(g(times), dtype=float), times.shape)
+    gp = (np.asarray(g(times + 1e-5)) - np.asarray(g(times - 1e-5))) / 2e-5
+    a = (0.5 / (gv * 2.0 / m) ** 2)[:, None] * np.ones_like(y)
+    b = -(gp / gv)[:, None] * y / (4.0 / m)
+    return np.stack([a - b, -2.0 * a, a + b], axis=1)
+
+
+def _transposed(bands: np.ndarray) -> np.ndarray:
+    lo, di, up = bands[:, 0], bands[:, 1], bands[:, 2]
+    pad = np.zeros((len(bands), 1))
+    return np.stack([np.hstack([pad, up[:, :-1]]), di, np.hstack([lo[:, 1:], pad])], axis=1)
+
+
+class _CrankNicolson:
+    """Steps u -> (I - c A_j)^-1 (I + c A_j) u, c = dt / 2, for the tridiagonal
+    A_j of each step j (the generator at the step's midpoint, for the
+    backward equation; its transpose for the forward one).  I - c A_j is also
+    the implicit-Euler half step."""
+
+    def __init__(self, bands: np.ndarray, c: float):
+        self.bands, self.c = bands, c
+        lo, di, up = bands[:, 0], bands[:, 1], bands[:, 2]
+        # solve_banded's (1, 1) layout; the rolled-in corner entries are never read
+        self.ab = np.stack([-c * np.roll(up, 1, axis=1), 1.0 - c * di,
+                            -c * np.roll(lo, -1, axis=1)], axis=1)
+
+    def half(self, j: int, u: np.ndarray) -> np.ndarray:
+        return solve_banded((1, 1), self.ab[j], u)
+
+    def __call__(self, j: int, u: np.ndarray) -> np.ndarray:
+        lo, di, up = self.bands[j]
+        au = di * u
+        au[1:] += lo[1:] * u[:-1]
+        au[:-1] += up[:-1] * u[1:]
+        return self.half(j, u + self.c * au)
+
+
+def moving_boundary_survival(h, x: float, s: float, t: float, m: int = 400,
+                             dt: float = 1e-3, n_startup: int = 2) -> float:
+    """P_{s,x}[tau > t] for Brownian motion absorbed at +-h(u), u in [s, t].
+
+    v(u, y) = P_{u, y h(u)}[tau > t] solves -d_u v = 1/2 h^-2 v_yy - y (h'/h) v_y
+    on (-1, 1), v = 0 at y = +-1 and v(t) = 1; it is stepped back from t to s
+    by Crank-Nicolson, the first n_startup steps each as two implicit-Euler
+    half steps (Rannacher start-up, which damps the jump of v(t) at the ends),
+    then read at y = x / h(s) by linear interpolation."""
+    n = int(round((t - s) / dt))
+    times = np.linspace(s, t, n + 1)
+    step = _CrankNicolson(_generator_bands(h, 0.5 * (times[:-1] + times[1:]), m),
+                          0.5 * (t - s) / n)
+    v = np.ones(m - 1)
+    for j in range(n - 1, -1, -1):
+        v = step.half(j, step.half(j, v)) if j >= n - n_startup else step(j, v)
+    y = np.linspace(-1.0, 1.0, m + 1)
+    return float(np.interp(x / float(h(np.array([s]))[0]), y, np.pad(v, 1)))
+
+
+def periodic_quasi_ergodic_law(g, gamma: float, edges: np.ndarray, m: int = 400,
+                               n: int = 1000, tol: float = 1e-13):
+    """(beta's masses on the cells between ``edges``, Floquet exponent lambda_F)
+    for Brownian motion absorbed at +-g(t), g gamma-periodic.
+
+    With one Crank-Nicolson step per phase t_k = k gamma / n, eta_k is the
+    right eigenvector of the backward one-period propagator seen from phase
+    k, and phi_k the left one, from the transposed steps, both by power
+    iteration; rho is their eigenvalue and lambda_F = -log(rho) / gamma.  The
+    law at phase k is proportional to phi_k eta_k on the y = x / g(t_k)
+    nodes; as a piecewise-linear density in y it is integrated exactly over
+    the cells [a / g(t_k), b / g(t_k)], which is the x-density with its
+    Jacobian 1 / g(t_k), and normalised to mass 1.  beta averages the phases.
+    """
+    times = gamma * np.arange(n) / n
+    c = 0.5 * gamma / n
+    bands = _generator_bands(g, times + c, m)
+    back, fwd = _CrankNicolson(bands, c), _CrankNicolson(_transposed(bands), c)
+    y = np.linspace(-1.0, 1.0, m + 1)
+    eta = phi = np.cos(0.5 * np.pi * y[1:-1])
+    etas, phis = np.empty((n, m - 1)), np.empty((n, m - 1))
+    for _ in range(500):
+        prev_eta, prev_phi = eta, phi
+        for k in range(n - 1, -1, -1):
+            eta = etas[k] = back(k, eta)
+        for k in range(n):
+            phis[k] = phi
+            phi = fwd(k, phi)
+        rho = eta.max() / prev_eta.max()
+        eta, phi = eta / eta.max(), phi / phi.max()
+        if max(np.abs(eta - prev_eta).max(), np.abs(phi - prev_phi).max()) < tol:
+            break
+    else:
+        raise RuntimeError("power iteration did not converge")
+    f = np.pad(phis * etas, ((0, 0), (1, 1)))  # nodal law of each phase, 0 at y = +-1
+    dy = 2.0 / m
+    cum = np.pad(np.cumsum(0.5 * dy * (f[:, 1:] + f[:, :-1]), axis=1), ((0, 0), (1, 0)))
+    gv = np.broadcast_to(np.asarray(g(times), dtype=float), times.shape)
+    ye = np.clip(np.asarray(edges)[None, :] / gv[:, None], -1.0, 1.0)
+    i = np.minimum(((ye + 1.0) / dy).astype(int), m - 1)  # the node cell of each edge
+    r = ye - y[i]
+    fi, fj = np.take_along_axis(f, i, 1), np.take_along_axis(f, i + 1, 1)
+    cdf = np.take_along_axis(cum, i, 1) + fi * r + 0.5 * (fj - fi) / dy * r * r
+    beta = (np.diff(cdf, axis=1) / cum[:, -1:]).mean(axis=0)
+    return beta, -math.log(rho) / gamma

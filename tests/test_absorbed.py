@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from apmarkov.paths import SimulationError
 from apmarkov.rng import counter_uniform, make_generator, rekey, substream_key
 from apmarkov.timefns import const, parse_time_function
 
-from oracles import (bridge_uniform, conditioned_cell_masses, dirichlet_survival_images,
-                     dirichlet_survival_spectral, qed_cell_masses,
+from oracles import (bridge_uniform, conditioned_cell_masses, default_pair_g, default_pair_h,
+                     dirichlet_survival_images, dirichlet_survival_spectral,
+                     moving_boundary_survival, periodic_quasi_ergodic_law, qed_cell_masses,
                      qed_second_moment, reference_engine)
 from test_timefns import _GRAMMAR
 
@@ -164,6 +166,25 @@ def test_missing_bridge_correction_biases_survival_up():
     assert gap > 3.0 * math.hypot(with_bridge.stderr, without.stderr) / 2.0
 
 
+def test_survival_under_g_matches_the_moving_boundary_solve():
+    # tolerance stated before running: 3 SE
+    est = survival_probability(default_boundary_pair().g, 0.0, dt=1e-3, T=2.0,
+                               n_paths=40_000, seed=7)
+    exact = moving_boundary_survival(default_pair_g, 0.0, 0.0, 2.0)
+    assert abs(est.p - exact) <= 3.0 * est.stderr
+
+
+def test_convergence_gaps_match_the_moving_boundary_solve():
+    # row k's gap P[tau_g > 2] - P[tau_h(. + k) > 2] against the solve, each
+    # within 3 of its SE (stated before running)
+    rows = boundary_convergence_report(default_boundary_pair(), s=0.0, t=2.0, x=0.0,
+                                       k_values=[0, 2, 5], n_paths=40_000, dt=1e-3, seed=8)
+    p_g = moving_boundary_survival(default_pair_g, 0.0, 0.0, 2.0)
+    for r in rows:
+        exact = p_g - moving_boundary_survival(lambda u: default_pair_h(u + r.k), 0.0, 0.0, 2.0)
+        assert abs(r.gap - exact) <= 3.0 * r.stderr
+
+
 def test_survival_decreases_towards_the_boundary():
     ps = [survival_probability(UNIT, x0, dt=2e-3, T=1.0, n_paths=8000, seed=5)
           for x0 in (0.0, 0.6, 0.9)]
@@ -252,21 +273,44 @@ def test_bridge_only_adds_absorptions_path_by_path(c, amp, freq, phase, x0, seed
     assert np.array_equal(tau_on[0] == np.inf, on)
 
 
-def test_near_boundary_bridge_test_equals_full_evaluation():
-    # the crossing probability is skipped far from the boundary; near the
-    # cutoff, p is compared with the smallest uniforms, including u == 0
-    gen = np.random.default_rng(5)
-    dt, h0, h1 = 1e-3, 1.0, 0.98
-    sd = math.sqrt(dt)
-    x = np.sign(gen.uniform(-1, 1, 200_000)) * (h0 - sd * gen.uniform(0.0, 8.0, 200_000))
-    xn = x + sd * gen.standard_normal(x.size)
-    u = gen.integers(0, 4, x.size) * 2.0 ** -53
-    u[::3] = gen.random(u[::3].size)
-    up = np.exp(-2.0 * np.maximum(h0 - x, 0.0) * np.maximum(h1 - xn, 0.0) / dt)
-    dn = np.exp(-2.0 * np.maximum(h0 + x, 0.0) * np.maximum(h1 + xn, 0.0) / dt)
-    full = u < up + dn - up * dn
-    assert np.array_equal(absorbed._bridge_step(x, xn, h0, h1, dt, u), full)
-    assert full[u == 0.0].any() and not full.all()
+@settings(max_examples=25, deadline=None)
+@given(c=st.floats(0.15, 1.0), amp=st.floats(0.0, 0.4), freq=st.floats(0.5, 30.0),
+       x0=st.floats(-0.9, 0.9), seed=st.integers(0, 2 ** 64 - 1))
+def test_bridge_reach_cutoff_changes_no_result(c, amp, freq, x0, seed):
+    # beyond _BRIDGE_REACH sqrt(dt) of the boundary p < 2^-53 <= u, so the
+    # crossing probability evaluated at every step of every path or particle
+    # gives the same hits: engine tau and states, and Fleming-Viot's
+    # positions, occupation and respawn record, bit for bit
+    def h(t):
+        return c * (1.0 + amp * np.sin(freq * t))
+
+    ts = _uniform_window(0.0, 0.4, 2e-3)
+    hb = np.stack([absorbed._boundary_nodes(h, ts), np.full(len(ts), c * (1.0 + amp))])
+    x = x0 * c * (1.0 - amp)
+    runs = []
+    for reach in (absorbed._BRIDGE_REACH, math.inf):
+        with mock.patch.object(absorbed, "_BRIDGE_REACH", reach):
+            out = absorbed._engine(ts, hb, x, range(200), seed, at=(100, 200))
+            fv = fleming_viot(h, 40, 2e-3, 0.4, seed, x0=x)
+        runs.append((out["tau"], out["states"], fv.system.positions, fv.occupation.mass,
+                     fv.ancestral_mass, fv.system.resample_log))
+    cut, full = runs
+    for a, b in zip(cut[:-1], full[:-1]):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert cut[-1] == full[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(dt=st.floats(1e-8, 1.0), h0=st.floats(0.01, 10.0), h1=st.floats(0.01, 10.0),
+       f0=st.floats(-1.0, 1.0), f1=st.floats(-1.0, 1.0))
+def test_crossing_beyond_the_reach_misses_the_smallest_uniform(dt, h0, h1, f0, f1):
+    # the cutoff's near edge: a step that starts and ends _BRIDGE_REACH sqrt(dt)
+    # or more inside the boundary has p < 2^-53, the smallest counter uniform,
+    # so no kernel misses a hit by skipping it
+    reach = absorbed._BRIDGE_REACH * np.sqrt(dt)
+    assume(h0 > reach and h1 > reach)
+    x, xn = np.array([f0 * (h0 - reach)]), np.array([f1 * (h1 - reach)])
+    assert not absorbed._crossing(x, xn, h0, h1, dt, 2.0 ** -53).any()
 
 
 def test_rekeyed_generator_draws_like_a_fresh_one():
@@ -324,6 +368,18 @@ def test_counter_uniform_lies_strictly_inside_the_unit_interval():
         u = counter_uniform(np.array([key], dtype=np.uint64), np.zeros(1, dtype=int))
         assert u[0] == want == bridge_uniform(out)
     assert 0.0 < 2.0 ** -53 and 1.0 - 2.0 ** -53 < 1.0
+
+
+@pytest.mark.parametrize("step", [3, np.uint64(3), np.int64(3), np.array(3), np.array([3, 3])],
+                         ids=["int", "uint64", "int64", "0-d", "array"])
+def test_counter_uniform_takes_any_integer_step(step):
+    # one step for every key: Fleming-Viot reads its uniforms this way; the
+    # uint64 wrap of a scalar step raises no overflow warning
+    keys = substream_key(5, np.array([0, 1], dtype=np.uint64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = counter_uniform(keys, step)
+    assert u.tolist() == [bridge_uniform(substream_key(5, r, 3)) for r in (0, 1)]
 
 
 def _engine_against_reference(ts, hb, ids, seed, bridge, at):
@@ -636,6 +692,25 @@ def test_fv_occupation_matches_squared_cosine_law():
     assert abs(mu.second_moment() - qed_second_moment()) <= 0.01
 
 
+@pytest.mark.parametrize("boundary", ["unit", "g"])
+def test_fv_killing_rate_matches_the_principal_eigenvalue(boundary):
+    # respawns per particle and unit time over t in (2, 6], against pi^2/8
+    # for the unit radius and the Floquet exponent of the default envelope g.
+    # Tolerance stated before running: one run's SD is at most 0.017 (10-16
+    # seeds), so the mean of 4 runs lies within 3 * 0.017 / 2; without the
+    # bridge the rate reads 0.045 (unit) and 0.058 (g) low
+    if boundary == "unit":
+        h, exact = UNIT, math.pi ** 2 / 8.0
+    else:
+        h = default_boundary_pair().g
+        exact = periodic_quasi_ergodic_law(default_pair_g, 1.0, np.array([-1.0, 1.0]))[1]
+    rates = []
+    for seed in range(60, 64):
+        t = np.frombuffer(fleming_viot(h, 2000, 1e-3, 6.0, seed=seed).system.respawns[0])
+        rates.append(np.count_nonzero(t > 2.0) / (2000 * 4.0))
+    assert abs(np.mean(rates) - exact) <= 3.0 * 0.017 / 2.0
+
+
 def test_fv_symmetric_input_gives_centered_occupation():
     res = fleming_viot(UNIT, n_particles=500, dt=2e-3, T=10.0, seed=23)
     assert abs(res.occupation.measure().mean()) <= 0.05
@@ -656,19 +731,20 @@ def test_fv_is_deterministic_and_preserves_count():
 def test_fv_respawn_record_is_pinned():
     # the record as the tuple-per-respawn log gave it: every t is the node
     # time ts[k + 1] of the respawn's step, an np.float64, and the digest
-    # covers every (t, dead, donor) bit for bit
+    # covers every (t, dead, donor) bit for bit; pinned to the counter
+    # uniforms of substream (seed, 4, slot)
     log = fleming_viot(UNIT, 300, 2e-3, 5.0, seed=7).system.resample_log
-    assert len(log) == 1923 and len({t for t, _, _ in log}) == 1318
-    assert log[0] == (0.122, 262, 256) and log[-1] == (4.996, 83, 95)
+    assert len(log) == 1770 and len({t for t, _, _ in log}) == 1254
+    assert log[0] == (0.124, 223, 240) and log[-1] == (5.0, 117, 9)
     assert all(type(t) is np.float64 and type(d) is int and type(o) is int
                for t, d, o in log)
     t, dead, donor = (np.array(c) for c in zip(*log))
-    assert dead.sum() == 288_776 and donor.sum() == 283_184
+    assert dead.sum() == 256_640 and donor.sum() == 260_854
     ts = _uniform_window(0.0, 5.0, 2e-3)
     assert ts[np.searchsorted(ts, t)].tobytes() == t.tobytes()
     digest = hashlib.sha256(t.tobytes() + dead.astype(np.int64).tobytes()
                             + donor.astype(np.int64).tobytes()).hexdigest()
-    assert digest == "916ce76f67ded89cc937b87868b7352b0fe8fdefff054ebc15efe10d455526fe"
+    assert digest == "be8c003b3421757aeb1006638c640dc6e43b63e73026fb9d63c10f13df07c931"
 
 
 def test_fv_respawn_record_costs_at_most_16_bytes_a_respawn():

@@ -25,8 +25,8 @@ from apmarkov.ou import OUSpec, default_ou_spec, transition_params
 from apmarkov.paths import Observable
 from apmarkov.timefns import const, parse_time_function
 
-from oracles import (dirichlet_survival_spectral, qed_cell_masses,
-                     qed_second_moment)
+from oracles import (default_pair_g, dirichlet_survival_spectral,
+                     periodic_quasi_ergodic_law, qed_cell_masses, qed_second_moment)
 
 X2 = Observable("x2", lambda x: x * x)
 
@@ -172,9 +172,17 @@ def test_criterion_10_boundary_convergence_and_qed_match():
                              seeds=(104, 105), boundaries=(pair.g, pair.g))
     assert control.tv <= 0.03
     assert hg.tv <= 0.07
+    # each of the four occupations against the deterministic quasi-ergodic law
+    mesh = hg.occupation_a.mesh
+    beta = MeshMeasure.from_unnormalized(
+        mesh, periodic_quasi_ergodic_law(default_pair_g, pair.gamma, mesh.edges())[0])
+    tv_beta = max(tv_distance(occ.measure(), beta) for run in (hg, control)
+                  for occ in (run.occupation_a, run.occupation_b))
+    assert tv_beta <= 0.05
     report(10, f"survival gap {by_k[0].gap:.4f} -> {by_k[20].gap:.4f} "
                f"({drop / combined:.1f} combined SE); QED TV h-vs-g {hg.tv:.4f} "
-               f"(<= 0.07), noise floor {control.tv:.4f} (<= 0.03)")
+               f"(<= 0.07), noise floor {control.tv:.4f} (<= 0.03), "
+               f"worst TV to the Floquet law {tv_beta:.4f} (<= 0.05)")
 
 
 def test_criterion_11_scaling_lemma():
